@@ -63,44 +63,74 @@ pub const LINK: ResourceId = ResourceId(1);
 pub fn plan_sync_service(
     dw_finish: &[SimTime],
     policy: CommPolicy,
-    mut sync_ns: impl FnMut(usize) -> SimTime,
+    sync_ns: impl FnMut(usize) -> SimTime,
 ) -> Vec<(usize, SimTime, SimTime)> {
-    let l = dw_finish.len().saturating_sub(1);
-    let mut arrivals: Vec<usize> = (1..=l).collect();
-    arrivals.sort_by_key(|&i| (dw_finish[i], i));
-    let mut out: Vec<(usize, SimTime, SimTime)> = Vec::with_capacity(l);
-    let mut link_free: SimTime = 0;
-    match policy {
-        CommPolicy::FifoCompletion => {
-            for &i in &arrivals {
-                let start = link_free.max(dw_finish[i]);
-                let end = start + sync_ns(i);
-                out.push((i, start, end));
-                link_free = end;
-            }
-        }
-        CommPolicy::PriorityByLayer => {
-            let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> =
-                std::collections::BinaryHeap::new();
-            let mut cursor = 0usize;
-            while out.len() < l {
-                let now = if ready.is_empty() {
-                    link_free.max(dw_finish[arrivals[cursor]])
-                } else {
-                    link_free
-                };
-                while cursor < arrivals.len() && dw_finish[arrivals[cursor]] <= now {
-                    ready.push(std::cmp::Reverse(arrivals[cursor]));
-                    cursor += 1;
+    let mut planner = SyncPlanner::default();
+    planner.plan(dw_finish, policy, sync_ns);
+    planner.out
+}
+
+/// [`plan_sync_service`] with reusable buffers: a search that plans the
+/// link order of many candidate backward orders allocates nothing per
+/// plan once the buffers have grown to `L`.
+#[derive(Debug, Clone, Default)]
+pub struct SyncPlanner {
+    arrivals: Vec<usize>,
+    ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
+    out: Vec<(usize, SimTime, SimTime)>,
+}
+
+impl SyncPlanner {
+    /// Plans the service order exactly as [`plan_sync_service`] does and
+    /// returns it as `(layer, wire_start, wire_end)`.
+    pub fn plan(
+        &mut self,
+        dw_finish: &[SimTime],
+        policy: CommPolicy,
+        mut sync_ns: impl FnMut(usize) -> SimTime,
+    ) -> &[(usize, SimTime, SimTime)] {
+        let l = dw_finish.len().saturating_sub(1);
+        let arrivals = &mut self.arrivals;
+        arrivals.clear();
+        arrivals.extend(1..=l);
+        // Keys are distinct (the layer breaks ties), so an unstable sort
+        // gives the one sorted order without a merge buffer.
+        arrivals.sort_unstable_by_key(|&i| (dw_finish[i], i));
+        let out = &mut self.out;
+        out.clear();
+        let mut link_free: SimTime = 0;
+        match policy {
+            CommPolicy::FifoCompletion => {
+                for &i in arrivals.iter() {
+                    let start = link_free.max(dw_finish[i]);
+                    let end = start + sync_ns(i);
+                    out.push((i, start, end));
+                    link_free = end;
                 }
-                let std::cmp::Reverse(pick) = ready.pop().expect("admitted at least one");
-                let end = now + sync_ns(pick);
-                out.push((pick, now, end));
-                link_free = end;
+            }
+            CommPolicy::PriorityByLayer => {
+                let ready = &mut self.ready;
+                ready.clear();
+                let mut cursor = 0usize;
+                while out.len() < l {
+                    let now = if ready.is_empty() {
+                        link_free.max(dw_finish[arrivals[cursor]])
+                    } else {
+                        link_free
+                    };
+                    while cursor < arrivals.len() && dw_finish[arrivals[cursor]] <= now {
+                        ready.push(std::cmp::Reverse(arrivals[cursor]));
+                        cursor += 1;
+                    }
+                    let std::cmp::Reverse(pick) = ready.pop().expect("admitted at least one");
+                    let end = now + sync_ns(pick);
+                    out.push((pick, now, end));
+                    link_free = end;
+                }
             }
         }
+        out
     }
-    out
 }
 
 /// Simulates one data-parallel iteration.

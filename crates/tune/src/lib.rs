@@ -28,21 +28,38 @@
 //!
 //! # Search loop
 //!
-//! Best-improvement greedy descent (deterministic: candidates are tried
-//! in `(predicted makespan, enumeration index)` order and the first one
-//! that passes the safety gate wins), followed by seeded restart
-//! perturbations: from the incumbent, a few random gate-clean moves are
-//! applied with [`rand::rngs::StdRng`] seeded `1..=restarts`, greedy
-//! descent re-runs, and a strictly better result replaces the incumbent
-//! (which restarts the seed sweep). The loop ends when a full seed sweep
-//! fails to improve — which makes tuning a *fixpoint*: re-tuning a tuned
-//! schedule replays exactly that failed sweep and changes nothing.
+//! A neighbourhood is a list of small move values (relocations, block
+//! moves, k-jumps, regroups), enumerated deterministically with identity
+//! moves left out. A move is turned into a state — and its description
+//! into a `String` — only when the search uses it.
+//!
+//! Best-improvement greedy descent scores the whole list, exactly, with
+//! delta probes on one incumbent evaluator (or, under a memory cap, by
+//! materializing each candidate and scoring it with the full ledger),
+//! then tries candidates in `(predicted makespan, enumeration index)`
+//! order; the first one that passes the safety gate wins. Seeded restart
+//! perturbations follow: from the incumbent, a few random gate-clean
+//! moves are applied with [`rand::rngs::StdRng`] seeded `1..=restarts`.
+//! Each perturbation step draws indices into the same move list and
+//! scores only the moves it draws (at most 16), so its RNG calls — and
+//! therefore the trajectory — match scoring the whole neighbourhood.
+//! Greedy descent then re-runs, and a strictly better result replaces
+//! the incumbent (which restarts the seed sweep). The loop ends when a
+//! full seed sweep fails to improve — which makes tuning a *fixpoint*:
+//! re-tuning a tuned schedule replays exactly that failed sweep and
+//! changes nothing.
+//!
+//! [`reference`](mod@reference) keeps the search as it was before moves
+//! replaced materialized candidates; the conformance suite holds the two
+//! byte-identical.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod order;
 pub mod pipeline;
+#[doc(hidden)]
+pub mod reference;
 
 use ooo_core::cost::CostModel;
 use ooo_core::schedule::Schedule;
@@ -52,6 +69,7 @@ use ooo_verify::predict::{predict_makespan, DeltaEval};
 use ooo_verify::{Report, Verifier, VerifyConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Failures of a tuning run.
@@ -144,9 +162,12 @@ pub struct TuneOptions {
     pub restarts: u64,
     /// Random moves applied per perturbation.
     pub perturb_moves: usize,
-    /// Hard cap on accepted moves per greedy descent (safety valve; the
+    /// Hard cap on the moves one search phase accepts (safety valve; the
     /// integer makespan strictly decreases, so descent terminates on its
-    /// own long before this).
+    /// own long before this). The initial greedy descent stops after
+    /// this many moves, and so does each restart trial — whose
+    /// perturbation moves count against the cap together with the
+    /// greedy moves that follow them.
     pub max_moves: usize,
     /// Allow moving `dW`-class ops across lanes (sub-stream swaps).
     pub cross_lane: bool,
@@ -163,7 +184,8 @@ pub struct TuneOptions {
     /// cap` — an over-cap incumbent first descends into the feasible
     /// region (any under-cap candidate beats any over-cap one), then
     /// minimizes makespan inside it. Scoring needs the full ledger per
-    /// candidate, so a cap disables the delta-evaluation fast path.
+    /// candidate, so a cap disables the delta-evaluation fast path:
+    /// every candidate is materialized and scored in full.
     pub memory_cap: Option<u64>,
     /// Optional certified target makespan (a proven lower bound, e.g.
     /// from `ooo_core::bounds::lower_bound` or an `ooo-cert`
@@ -185,7 +207,7 @@ pub struct TuneOptions {
     /// need a window to keep the neighborhood linear.
     pub window: Option<usize>,
     /// Optional deterministic work budget, counted in neighborhood
-    /// scans (one scan = one `scored_candidates` enumeration). When the
+    /// scans (one scan = one neighbourhood enumeration). When the
     /// budget runs out the search stops and returns the best state found
     /// so far — always a valid, verify-clean schedule, since only
     /// gate-clean moves are ever accepted. `Some(0)` returns the input
@@ -272,67 +294,131 @@ impl Tuned {
 /// enough that any under-cap candidate outranks any over-cap one, small
 /// enough that `saturating_add` never wraps the ordering inside either
 /// class.
-pub(crate) const MEMORY_CAP_PENALTY: SimTime = 1 << 40;
+const MEMORY_CAP_PENALTY: SimTime = 1 << 40;
 
-/// Penalized objective: the raw makespan, plus [`MEMORY_CAP_PENALTY`]
-/// when the exact ledger peak exceeds `cap`. `None` (no cap, or the
-/// ledger cannot be built) leaves the makespan alone / fails the state.
-pub(crate) fn capped_score(
-    makespan: SimTime,
-    cap: Option<u64>,
-    peak: impl FnOnce() -> Option<u64>,
-) -> Option<SimTime> {
-    match cap {
-        None => Some(makespan),
-        Some(cap) => {
-            let p = peak()?;
-            Some(if p > cap {
-                makespan.saturating_add(MEMORY_CAP_PENALTY)
-            } else {
-                makespan
-            })
+/// The objective and safety gate every search space shares: the exact
+/// predictor, the optional memory cap on top of it, and the verifier.
+pub(crate) struct Objective<'g, C> {
+    graph: &'g TrainGraph,
+    cost: &'g C,
+    verifier: Verifier<'g, &'g C>,
+    memory_cap: Option<u64>,
+}
+
+impl<'g, C: CostModel> Objective<'g, C> {
+    pub(crate) fn new(graph: &'g TrainGraph, cost: &'g C, opts: &TuneOptions) -> Self {
+        Objective {
+            graph,
+            cost,
+            verifier: Verifier::new(graph)
+                .with_config(opts.verify_config())
+                .with_cost(cost),
+            memory_cap: opts.memory_cap,
         }
+    }
+
+    /// Penalized objective: the exact makespan, plus
+    /// [`MEMORY_CAP_PENALTY`] when the exact ledger peak exceeds the cap.
+    /// `None` when the schedule does not evaluate.
+    fn score(&self, schedule: &Schedule) -> Option<SimTime> {
+        let m = self.makespan(schedule)?;
+        match self.memory_cap {
+            None => Some(m),
+            Some(cap) => {
+                let peak = schedule_peak(self.graph, schedule, self.cost).ok()?;
+                Some(if peak > cap {
+                    m.saturating_add(MEMORY_CAP_PENALTY)
+                } else {
+                    m
+                })
+            }
+        }
+    }
+
+    /// The exact makespan alone, `None` when the schedule does not
+    /// evaluate.
+    fn makespan(&self, schedule: &Schedule) -> Option<SimTime> {
+        predict_makespan(self.graph, schedule, self.cost)
+            .ok()
+            .map(|p| p.makespan())
+    }
+
+    /// The `ooo-verify` gate: `true` iff `schedule` draws no diagnostic.
+    fn clean(&self, schedule: &Schedule) -> bool {
+        self.verifier.verify(schedule).is_clean()
     }
 }
 
 /// A tunable search space: states scored by the exact predictor and
-/// gated by the safety analyzer. Implementations enumerate the ooo-legal
-/// neighborhood of a state deterministically.
+/// gated by the safety analyzer. A neighbourhood is a list of small move
+/// values; a move becomes a state (and gets a description) only when the
+/// search uses it.
 pub(crate) trait SearchSpace: Sync {
     /// One point of the space.
     type State: Clone + Send;
+    /// One transformation of a state.
+    type Move;
+    /// The cost model the space is scored under.
+    type Cost: CostModel;
 
-    /// Predicted makespan, or `None` when the state does not evaluate
-    /// (e.g. an illegal placement the predictor rejects).
-    fn score(&self, state: &Self::State) -> Option<SimTime>;
+    /// The shared scorer and safety gate.
+    fn objective(&self) -> &Objective<'_, Self::Cost>;
 
-    /// The `ooo-verify` gate: `true` iff the state produces zero
-    /// diagnostics.
-    fn clean(&self, state: &Self::State) -> bool;
+    /// The multi-lane schedule `state` stands for.
+    ///
+    /// # Errors
+    ///
+    /// When the state does not realize (e.g. a backward order that
+    /// breaks a dependency).
+    fn realize<'s>(&self, state: &'s Self::State) -> ooo_core::Result<Cow<'s, Schedule>>;
 
-    /// The legal neighborhood, in a deterministic enumeration order,
-    /// each with a human-readable move description.
-    fn candidates(&self, state: &Self::State) -> Vec<(Self::State, String)>;
+    /// The legal neighbourhood of `state` in a deterministic enumeration
+    /// order, without moves that reproduce `state`.
+    fn moves(&self, state: &Self::State) -> Vec<Self::Move>;
 
-    /// The neighborhood with each candidate's score attached, computed
-    /// the cheapest way the space knows. The default scores every
-    /// candidate with a full [`SearchSpace::score`] pass; spaces whose
-    /// moves are schedule relocations override this with incremental
-    /// delta evaluation ([`ooo_verify::predict::DeltaEval`]), which
-    /// re-scores only the affected cone per candidate. Overrides must
-    /// return the same candidates, order, and scores as the default.
-    fn scored_candidates(
-        &self,
-        state: &Self::State,
-    ) -> Vec<(Self::State, String, Option<SimTime>)> {
-        self.candidates(state)
-            .into_iter()
-            .map(|(st, d)| {
-                let m = self.score(&st);
-                (st, d, m)
-            })
-            .collect()
+    /// The state `mv` leads to from `state`.
+    fn apply(&self, state: &Self::State, mv: &Self::Move) -> Self::State;
+
+    /// Human-readable description of `mv` applied to `state`.
+    fn describe(&self, state: &Self::State, mv: &Self::Move) -> String;
+
+    /// The exact makespan of every move's state (no memory cap), computed
+    /// the cheapest way the space knows — typically
+    /// [`ooo_verify::predict::DeltaEval`] probes that re-score only the
+    /// affected cone. Must equal [`predict_makespan`] of the realized
+    /// [`SearchSpace::apply`] result, `None` where that fails.
+    fn delta_scores(&self, state: &Self::State, moves: &[Self::Move]) -> Vec<Option<SimTime>>;
+}
+
+/// Full score of a state: realized, predicted, and (under a cap) ledgered.
+fn state_score<S: SearchSpace>(space: &S, state: &S::State) -> Option<SimTime> {
+    space.objective().score(&*space.realize(state).ok()?)
+}
+
+/// Full score of a state that also passes the safety gate, else `None`.
+fn clean_score<S: SearchSpace>(space: &S, state: &S::State) -> Option<SimTime> {
+    let schedule = space.realize(state).ok()?;
+    let m = space.objective().score(&schedule)?;
+    space.objective().clean(&schedule).then_some(m)
+}
+
+/// Scores a whole neighbourhood. Under a memory cap every candidate
+/// needs its full ledger, which the makespan-only delta probes cannot
+/// supply, so capped scans materialize and fully score each candidate;
+/// uncapped scans take the space's delta path. Both give the same scores
+/// as the full path with the same objective.
+fn score_moves<S: SearchSpace>(
+    space: &S,
+    state: &S::State,
+    moves: &[S::Move],
+) -> Vec<Option<SimTime>> {
+    if space.objective().memory_cap.is_some() {
+        return moves
+            .iter()
+            .map(|mv| state_score(space, &space.apply(state, mv)))
+            .collect();
     }
+    space.delta_scores(state, moves)
 }
 
 /// Cooperative cancellation state for one search (or one restart
@@ -391,30 +477,34 @@ fn greedy<S: SearchSpace>(
             break;
         }
         budget.charge();
-        let cands = space.scored_candidates(&cur);
-        let mut scored: Vec<(SimTime, usize)> = cands
-            .iter()
+        let neighbourhood = space.moves(&cur);
+        let mut ranked: Vec<(SimTime, usize)> = score_moves(space, &cur, &neighbourhood)
+            .into_iter()
             .enumerate()
-            .filter_map(|(i, (_, _, m))| m.map(|m| (m, i)))
+            .filter_map(|(i, m)| m.map(|m| (m, i)))
             .filter(|&(m, _)| m < cur_m)
             .collect();
-        scored.sort_unstable();
-        let accepted = scored.into_iter().find(|&(_, i)| space.clean(&cands[i].0));
-        let Some((m, i)) = accepted else { break };
-        let (state, description, _) = cands[i].clone();
+        ranked.sort_unstable();
+        let accepted = ranked.into_iter().find_map(|(m, i)| {
+            let next = space.apply(&cur, &neighbourhood[i]);
+            let schedule = space.realize(&next).ok()?;
+            space.objective().clean(&schedule).then_some((m, i, next))
+        });
+        let Some((m, i, next)) = accepted else { break };
         moves.push(AppliedMove {
             kind: MoveKind::Greedy,
-            description,
+            description: space.describe(&cur, &neighbourhood[i]),
             predicted: m,
         });
-        cur = state;
+        cur = next;
         cur_m = m;
     }
     (cur, cur_m)
 }
 
 /// Applies up to `perturb_moves` random gate-clean moves drawn from a
-/// deterministically seeded RNG. Moves are free to regress.
+/// deterministically seeded RNG. Moves are free to regress. Only the
+/// sampled moves are materialized and scored.
 fn perturb<S: SearchSpace>(
     space: &S,
     cur: S::State,
@@ -432,25 +522,23 @@ fn perturb<S: SearchSpace>(
             break;
         }
         budget.charge();
-        let cands = space.scored_candidates(&state);
-        if cands.is_empty() {
+        let neighbourhood = space.moves(&state);
+        if neighbourhood.is_empty() {
             break;
         }
         let mut picked = None;
         for _ in 0..16 {
-            let i = rng.gen_range(0..cands.len());
-            if let Some(m) = cands[i].2 {
-                if space.clean(&cands[i].0) {
-                    picked = Some((i, m));
-                    break;
-                }
+            let i = rng.gen_range(0..neighbourhood.len());
+            let next = space.apply(&state, &neighbourhood[i]);
+            if let Some(m) = clean_score(space, &next) {
+                picked = Some((i, m, next));
+                break;
             }
         }
-        let Some((i, m)) = picked else { break };
-        let (next, description, _) = cands[i].clone();
+        let Some((i, m, next)) = picked else { break };
         moves.push(AppliedMove {
             kind: MoveKind::Perturb,
-            description,
+            description: space.describe(&state, &neighbourhood[i]),
             predicted: m,
         });
         state = next;
@@ -561,111 +649,215 @@ pub(crate) fn local_search<S: SearchSpace>(
     (cur, cur_m, moves, adopted)
 }
 
+/// What one [`tune`] run returns, before each entry point wraps it in
+/// its public result type.
+pub(crate) struct Outcome<T> {
+    pub(crate) state: T,
+    /// Raw predicted makespan of the input.
+    pub(crate) baseline: SimTime,
+    /// Raw predicted makespan of the winner.
+    pub(crate) predicted: SimTime,
+    /// Exact ledger peak of the winner; set iff a memory cap was.
+    pub(crate) peak: Option<u64>,
+    pub(crate) moves: Vec<AppliedMove>,
+    pub(crate) restarts_adopted: usize,
+}
+
+/// Gates and scores the input, runs [`local_search`] from it, and
+/// reports the winner. Capped scores carry the penalty, so under a cap
+/// the winner's raw makespan and exact peak are re-derived.
+///
+/// # Errors
+///
+/// [`Error::Core`] when the input does not realize or evaluate;
+/// [`Error::Unsafe`] when it fails the safety gate.
+pub(crate) fn tune<S: SearchSpace>(
+    space: &S,
+    init: S::State,
+    opts: &TuneOptions,
+) -> Result<Outcome<S::State>> {
+    let obj = space.objective();
+    let realized = space.realize(&init)?;
+    let report = obj.verifier.verify(&realized);
+    if !report.is_clean() {
+        return Err(Error::Unsafe(report));
+    }
+    let baseline = predict_makespan(obj.graph, &realized, obj.cost)?.makespan();
+    let base_m = match obj.memory_cap {
+        None => baseline,
+        Some(cap) => {
+            if schedule_peak(obj.graph, &realized, obj.cost)? > cap {
+                baseline.saturating_add(MEMORY_CAP_PENALTY)
+            } else {
+                baseline
+            }
+        }
+    };
+    drop(realized);
+    let (state, predicted, moves, restarts_adopted) = local_search(space, init, base_m, opts);
+    let (predicted, peak) = match obj.memory_cap {
+        None => (predicted, None),
+        Some(_) => {
+            let winner = space.realize(&state)?;
+            (
+                predict_makespan(obj.graph, &winner, obj.cost)?.makespan(),
+                Some(schedule_peak(obj.graph, &winner, obj.cost)?),
+            )
+        }
+    };
+    Ok(Outcome {
+        state,
+        baseline,
+        predicted,
+        peak,
+        moves,
+        restarts_adopted,
+    })
+}
+
 /// The multi-lane schedule space: `dW`-class ops relocate within their
 /// lane and (optionally) across lanes.
-struct ScheduleSpace<'g, C: CostModel> {
-    graph: &'g TrainGraph,
-    cost: &'g C,
-    verifier: Verifier<'g, &'g C>,
+struct ScheduleSpace<'g, C> {
+    objective: Objective<'g, C>,
     cross_lane: bool,
     window: Option<usize>,
-    memory_cap: Option<u64>,
 }
 
 impl<C: CostModel + Sync> SearchSpace for ScheduleSpace<'_, C> {
     type State = Schedule;
+    type Move = Relocation;
+    type Cost = C;
 
-    fn score(&self, state: &Schedule) -> Option<SimTime> {
-        let m = predict_makespan(self.graph, state, self.cost)
-            .ok()
-            .map(|p| p.makespan())?;
-        capped_score(m, self.memory_cap, || {
-            schedule_peak(self.graph, state, self.cost).ok()
-        })
+    fn objective(&self) -> &Objective<'_, C> {
+        &self.objective
     }
 
-    fn clean(&self, state: &Schedule) -> bool {
-        self.verifier.verify(state).is_clean()
+    fn realize<'s>(&self, state: &'s Schedule) -> ooo_core::Result<Cow<'s, Schedule>> {
+        Ok(Cow::Borrowed(state))
     }
 
-    fn candidates(&self, state: &Schedule) -> Vec<(Schedule, String)> {
-        schedule_moves(self.graph, state, self.cross_lane, self.window)
+    fn moves(&self, state: &Schedule) -> Vec<Relocation> {
+        schedule_relocations(self.objective.graph, state, self.cross_lane, self.window)
     }
 
-    /// Delta-evaluated scoring: see [`delta_scored_schedule_moves`].
-    /// Under a memory cap every candidate needs its full ledger, which
-    /// the makespan-only delta probe cannot provide, so the cap falls
-    /// back to full scoring.
-    fn scored_candidates(&self, state: &Schedule) -> Vec<(Schedule, String, Option<SimTime>)> {
-        if self.memory_cap.is_some() {
-            return self
-                .candidates(state)
-                .into_iter()
-                .map(|(st, d)| {
-                    let m = self.score(&st);
-                    (st, d, m)
-                })
-                .collect();
-        }
-        delta_scored_schedule_moves(self.graph, self.cost, state, self.cross_lane, self.window)
+    fn apply(&self, state: &Schedule, mv: &Relocation) -> Schedule {
+        mv.apply(state)
+    }
+
+    fn describe(&self, state: &Schedule, mv: &Relocation) -> String {
+        mv.describe(state)
+    }
+
+    fn delta_scores(&self, state: &Schedule, moves: &[Relocation]) -> Vec<Option<SimTime>> {
+        let mut probe = RelocationProbe::new(self.objective.graph, self.objective.cost, state);
+        moves.iter().map(|r| probe.score(r)).collect()
     }
 }
 
-/// Scores every `dW`-class relocation of `state` with one [`DeltaEval`]
-/// carrying the incumbent's exact timing state: each candidate is probed
-/// with [`DeltaEval::relocate_many`] (re-scoring only the affected cone)
-/// and reverted. Candidates, order, and scores are identical to scoring
-/// each materialized schedule with a full [`predict_makespan`] pass —
-/// only the work per candidate shrinks. Shared by the bundle space above
-/// and the pipeline space's in-lane moves.
-pub(crate) fn delta_scored_schedule_moves<C: CostModel>(
-    graph: &TrainGraph,
-    cost: &C,
-    state: &Schedule,
-    cross_lane: bool,
-    window: Option<usize>,
-) -> Vec<(Schedule, String, Option<SimTime>)> {
-    let Ok(mut de) = DeltaEval::new(graph, state, cost) else {
-        // An incumbent the predictor rejects never arises from the
-        // search itself; fall back to the default path for safety.
-        return schedule_moves(graph, state, cross_lane, window)
-            .into_iter()
-            .map(|(st, d)| {
-                let m = predict_makespan(graph, &st, cost)
-                    .ok()
-                    .map(|p| p.makespan());
-                (st, d, m)
-            })
-            .collect();
-    };
-    let mut out = Vec::new();
-    for (batch, description) in schedule_move_batches(graph, state, cross_lane, window) {
-        let next = apply_move_batch(state, &batch);
-        if next == *state {
-            continue;
-        }
-        let origins: Vec<(ooo_core::Op, usize, usize)> = batch
-            .iter()
-            .map(|&(op, _, _)| {
-                let (l, p) = de.position_of(op).expect("moved op is scheduled");
-                (op, l, p)
-            })
-            .collect();
-        let m = de.relocate_many(&batch).ok();
-        if m.is_some() {
-            de.relocate_many(&origins)
-                .expect("reverting to the incumbent cannot deadlock");
-        }
-        out.push((next, description, m));
-    }
-    out
+/// One relocation of a `dW`-class op, or of a `[dW_i, U_i]` block, as
+/// [`DeltaEval::relocate_many`] reads it: the op (then the update right
+/// behind it) is removed and re-inserted at `to` of lane `lane`, counted
+/// in the lane without the moved ops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Relocation {
+    op: ooo_core::Op,
+    /// The update travelling at `to + 1` (block moves only); it sits on
+    /// `op`'s lane.
+    update: Option<ooo_core::Op>,
+    /// The lane `op` sits on.
+    from: usize,
+    lane: usize,
+    to: usize,
 }
 
-/// One relocation batch: every `(op, target lane, target position)` is
-/// applied atomically, positions addressing the final lane contents in
-/// ascending `(lane, position)` order — the same semantics as
-/// [`DeltaEval::relocate_many`].
+impl Relocation {
+    /// The move as a [`DeltaEval::relocate_many`] batch.
+    fn batch(&self, out: &mut MoveBatch) {
+        out.clear();
+        out.push((self.op, self.lane, self.to));
+        if let Some(u) = self.update {
+            out.push((u, self.lane, self.to + 1));
+        }
+    }
+
+    /// The schedule after the move.
+    pub(crate) fn apply(&self, state: &Schedule) -> Schedule {
+        let mut next = state.clone();
+        next.lanes[self.from]
+            .ops
+            .retain(|&o| o != self.op && Some(o) != self.update);
+        let ops = &mut next.lanes[self.lane].ops;
+        ops.insert(self.to.min(ops.len()), self.op);
+        if let Some(u) = self.update {
+            ops.insert((self.to + 1).min(ops.len()), u);
+        }
+        next
+    }
+
+    /// `move <op> to <lane>:<to>`, or `move <dW>+<U> to ...` for blocks.
+    pub(crate) fn describe(&self, state: &Schedule) -> String {
+        let lane = &state.lanes[self.lane].name;
+        match self.update {
+            None => format!("move {} to {lane}:{}", self.op, self.to),
+            Some(u) => format!("move {}+{u} to {lane}:{}", self.op, self.to),
+        }
+    }
+}
+
+/// A [`DeltaEval::relocate_many`] batch: `(op, target lane, target
+/// position)`.
 pub(crate) type MoveBatch = Vec<(ooo_core::Op, usize, usize)>;
+
+/// Applies `batch` to `de`, reads the exact makespan, and reverts to the
+/// incumbent. `None` when the batch deadlocks the lanes (the evaluator
+/// rolls that back itself). `origins` is a reusable buffer.
+pub(crate) fn probe(
+    de: &mut DeltaEval<'_>,
+    batch: &MoveBatch,
+    origins: &mut MoveBatch,
+) -> Option<SimTime> {
+    origins.clear();
+    origins.extend(batch.iter().map(|&(op, _, _)| {
+        let (l, p) = de.position_of(op).expect("moved op is scheduled");
+        (op, l, p)
+    }));
+    let m = de.relocate_many(batch).ok();
+    if m.is_some() {
+        de.relocate_many(origins)
+            .expect("reverting to the incumbent cannot deadlock");
+    }
+    m
+}
+
+/// Scores relocations of one incumbent schedule with a single
+/// [`DeltaEval`] carrying its exact timing state: each candidate is
+/// probed (re-scoring only the affected cone) and reverted. Scores are
+/// identical to a full [`predict_makespan`] of each moved schedule.
+/// Shared by the bundle space and the pipeline space's in-lane moves.
+pub(crate) struct RelocationProbe<'a> {
+    de: DeltaEval<'a>,
+    batch: MoveBatch,
+    origins: MoveBatch,
+}
+
+impl<'a> RelocationProbe<'a> {
+    /// A probe on `state`, which must evaluate — every state the search
+    /// holds does: the input is scored before the search starts, and
+    /// only candidates that scored are ever accepted.
+    pub(crate) fn new<C: CostModel>(graph: &'a TrainGraph, cost: &C, state: &Schedule) -> Self {
+        RelocationProbe {
+            de: DeltaEval::new(graph, state, cost).expect("search states evaluate"),
+            batch: Vec::new(),
+            origins: Vec::new(),
+        }
+    }
+
+    /// The exact makespan after `r`, `None` when it deadlocks.
+    pub(crate) fn score(&mut self, r: &Relocation) -> Option<SimTime> {
+        r.batch(&mut self.batch);
+        probe(&mut self.de, &self.batch, &mut self.origins)
+    }
+}
 
 /// `true` when target position `to` falls inside the relocation window
 /// around current position `pi` (`None` admits everything).
@@ -676,14 +868,14 @@ fn in_window(window: Option<usize>, pi: usize, to: usize) -> bool {
     }
 }
 
-/// Enumerates every relocation of a `dW`-class op as a move descriptor:
-/// all in-lane target positions, plus (when `cross_lane`) every
-/// insertion point of every other lane. A `dW_i` whose `U_i` sits on the
-/// same lane additionally moves as a `[dW_i, U_i]` block — relocating
-/// the gradient alone would always violate the update's dependency, so
-/// deferring a weight gradient past its own update needs the pair to
-/// travel together. Descriptors may reproduce the input state; appliers
-/// filter identities.
+/// Enumerates every relocation of a `dW`-class op: all in-lane target
+/// positions, plus (when `cross_lane`) every insertion point of every
+/// other lane. A `dW_i` whose `U_i` sits on the same lane additionally
+/// moves as a `[dW_i, U_i]` block — relocating the gradient alone would
+/// always violate the update's dependency, so deferring a weight
+/// gradient past its own update needs the pair to travel together.
+/// Moves that reproduce the input — a block put back where it stands —
+/// are left out; every other enumerated move changes the schedule.
 ///
 /// Enumeration order is the repository-wide tie-break key
 /// ([`ooo_core::schedule::ReadyQueue`]): moved ops in ascending dense
@@ -700,12 +892,12 @@ fn in_window(window: Option<usize>, pi: usize, to: usize) -> bool {
 /// using the same index band — turning the O(ops × positions)
 /// neighborhood linear for thousand-stage schedules. `None` keeps the
 /// exhaustive enumeration.
-pub(crate) fn schedule_move_batches(
+pub(crate) fn schedule_relocations(
     graph: &TrainGraph,
     state: &Schedule,
     cross_lane: bool,
     window: Option<usize>,
-) -> Vec<(MoveBatch, String)> {
+) -> Vec<Relocation> {
     use ooo_core::Op;
     let mut out = Vec::new();
     let mut movers: Vec<(usize, usize, usize, Op)> = Vec::new();
@@ -721,16 +913,19 @@ pub(crate) fn schedule_move_batches(
     movers.sort_unstable();
     for (_, li, pi, op) in movers {
         let lane = &state.lanes[li];
+        let single = |lane: usize, to: usize| Relocation {
+            op,
+            update: None,
+            from: li,
+            lane,
+            to,
+        };
         // In-lane: every position of the reduced lane except the
         // identity.
         for to in 0..lane.ops.len() {
-            if to == pi || !in_window(window, pi, to) {
-                continue;
+            if to != pi && in_window(window, pi, to) {
+                out.push(single(li, to));
             }
-            out.push((
-                vec![(op, li, to)],
-                format!("move {op} to {}:{to}", lane.name),
-            ));
         }
         if cross_lane {
             for (lj, other) in state.lanes.iter().enumerate() {
@@ -738,30 +933,31 @@ pub(crate) fn schedule_move_batches(
                     continue;
                 }
                 for to in 0..=other.ops.len() {
-                    if !in_window(window, pi, to) {
-                        continue;
+                    if in_window(window, pi, to) {
+                        out.push(single(lj, to));
                     }
-                    out.push((
-                        vec![(op, lj, to)],
-                        format!("move {op} to {}:{to}", other.name),
-                    ));
                 }
             }
         }
         // Block moves: `[dW_i, U_i]` as one unit.
         let Op::WeightGrad(layer) = op else { continue };
         let update = Op::Update(layer);
-        if !lane.ops.contains(&update) {
+        let Some(pu) = lane.ops.iter().position(|&o| o == update) else {
             continue;
-        }
+        };
+        let block = |lane: usize, to: usize| Relocation {
+            op,
+            update: Some(update),
+            from: li,
+            lane,
+            to,
+        };
         for to in 0..=lane.ops.len().saturating_sub(2) {
-            if !in_window(window, pi, to) {
-                continue;
+            // A block that already stands at its target is no move.
+            let identity = to == pi && pu == pi + 1;
+            if !identity && in_window(window, pi, to) {
+                out.push(block(li, to));
             }
-            out.push((
-                vec![(op, li, to), (update, li, to + 1)],
-                format!("move {op}+{update} to {}:{to}", lane.name),
-            ));
         }
         if cross_lane {
             for (lj, other) in state.lanes.iter().enumerate() {
@@ -769,56 +965,14 @@ pub(crate) fn schedule_move_batches(
                     continue;
                 }
                 for to in 0..=other.ops.len() {
-                    if !in_window(window, pi, to) {
-                        continue;
+                    if in_window(window, pi, to) {
+                        out.push(block(lj, to));
                     }
-                    out.push((
-                        vec![(op, lj, to), (update, lj, to + 1)],
-                        format!("move {op}+{update} to {}:{to}", other.name),
-                    ));
                 }
             }
         }
     }
     out
-}
-
-/// Applies a move batch to a plain [`Schedule`] clone, mirroring
-/// [`DeltaEval::relocate_many`]: remove every moved op, then insert at
-/// the target coordinates in ascending `(lane, position)` order,
-/// clamped to the lane length.
-pub(crate) fn apply_move_batch(state: &Schedule, batch: &MoveBatch) -> Schedule {
-    let mut next = state.clone();
-    for &(op, _, _) in batch {
-        for lane in &mut next.lanes {
-            lane.ops.retain(|&o| o != op);
-        }
-    }
-    let mut inserts = batch.clone();
-    inserts.sort_unstable_by_key(|&(_, l, p)| (l, p));
-    for (op, l, p) in inserts {
-        let ops = &mut next.lanes[l].ops;
-        ops.insert(p.min(ops.len()), op);
-    }
-    next
-}
-
-/// Enumerates every `dW`-class relocation as a materialized schedule;
-/// see [`schedule_move_batches`] for the move set. Identity moves are
-/// filtered out.
-pub(crate) fn schedule_moves(
-    graph: &TrainGraph,
-    state: &Schedule,
-    cross_lane: bool,
-    window: Option<usize>,
-) -> Vec<(Schedule, String)> {
-    schedule_move_batches(graph, state, cross_lane, window)
-        .into_iter()
-        .filter_map(|(batch, description)| {
-            let next = apply_move_batch(state, &batch);
-            (next != *state).then_some((next, description))
-        })
-        .collect()
 }
 
 /// Tunes a multi-lane schedule in place: greedy + seeded-restart search
@@ -835,51 +989,19 @@ pub fn tune_schedule<C: CostModel + Sync>(
     cost: &C,
     opts: &TuneOptions,
 ) -> Result<Tuned> {
-    let verifier = Verifier::new(graph)
-        .with_config(opts.verify_config())
-        .with_cost(cost);
-    let report = verifier.verify(baseline);
-    if !report.is_clean() {
-        return Err(Error::Unsafe(report));
-    }
-    let base_raw = predict_makespan(graph, baseline, cost)?.makespan();
-    let base_m = match opts.memory_cap {
-        None => base_raw,
-        Some(cap) => {
-            let peak = schedule_peak(graph, baseline, cost)?;
-            if peak > cap {
-                base_raw.saturating_add(MEMORY_CAP_PENALTY)
-            } else {
-                base_raw
-            }
-        }
-    };
     let space = ScheduleSpace {
-        graph,
-        cost,
-        verifier,
+        objective: Objective::new(graph, cost, opts),
         cross_lane: opts.cross_lane,
         window: opts.window,
-        memory_cap: opts.memory_cap,
     };
-    let (schedule, predicted, moves, restarts_adopted) =
-        local_search(&space, baseline.clone(), base_m, opts);
-    // Capped scores carry the penalty; report the raw makespan (and the
-    // winner's exact peak) instead.
-    let (predicted, peak) = match opts.memory_cap {
-        None => (predicted, None),
-        Some(_) => (
-            predict_makespan(graph, &schedule, cost)?.makespan(),
-            Some(schedule_peak(graph, &schedule, cost)?),
-        ),
-    };
+    let out = tune(&space, baseline.clone(), opts)?;
     Ok(Tuned {
-        schedule,
-        baseline: base_raw,
-        predicted,
-        peak,
-        moves,
-        restarts_adopted,
+        schedule: out.state,
+        baseline: out.baseline,
+        predicted: out.predicted,
+        peak: out.peak,
+        moves: out.moves,
+        restarts_adopted: out.restarts_adopted,
     })
 }
 
@@ -1111,9 +1233,9 @@ mod tests {
         swapped.add_lane("sub", baseline.lanes[1].ops.clone());
         swapped.add_lane("main", baseline.lanes[0].ops.clone());
         let ids = |s: &Schedule| -> Vec<usize> {
-            schedule_move_batches(&graph, s, true, None)
+            schedule_relocations(&graph, s, true, None)
                 .iter()
-                .map(|(batch, _)| graph.op_index(batch[0].0).unwrap())
+                .map(|r| graph.op_index(r.op).unwrap())
                 .collect()
         };
         let a = ids(&baseline);

@@ -12,13 +12,19 @@
 //! Scoring reconstructs the realized two-lane schedule with
 //! [`ooo_verify::predict::datapar_schedule`] and evaluates it with the
 //! exact predictor; the safety gate verifies that same reconstruction.
+//! A scan probes each `dW` relocation on the incumbent's realized
+//! schedule instead of re-realizing it.
 
-use crate::{local_search, AppliedMove, Error, Result, SearchSpace, TuneOptions};
+use crate::{
+    probe, tune, AppliedMove, Error, MoveBatch, Objective, Result, SearchSpace, TuneOptions,
+};
 use ooo_core::cost::CostModel;
-use ooo_core::datapar::{simulate_data_parallel, CommPolicy};
+use ooo_core::datapar::{simulate_data_parallel, CommPolicy, SyncPlanner};
+use ooo_core::op::LayerId;
+use ooo_core::schedule::Schedule;
 use ooo_core::{Op, SimTime, TrainGraph};
 use ooo_verify::predict::{datapar_schedule, predict_makespan, DeltaEval};
-use ooo_verify::Verifier;
+use std::borrow::Cow;
 
 /// Which family of whole-order jumps the k-move draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,169 +72,239 @@ struct OrderState {
     k: Option<usize>,
 }
 
-struct OrderSpace<'g, C: CostModel> {
-    graph: &'g TrainGraph,
-    cost: &'g C,
+/// One move of the order space.
+#[derive(Debug, Clone, Copy)]
+enum OrderMove {
+    /// Replace the whole order by the family's shape at depth `k`.
+    SetK(usize),
+    /// Move the `dW` at position `from` of the order to position `to`.
+    Relocate { op: Op, from: usize, to: usize },
+}
+
+struct OrderSpace<'g, C> {
+    objective: Objective<'g, C>,
     policy: CommPolicy,
     family: KFamily,
-    verifier: Verifier<'g, &'g C>,
     window: Option<usize>,
-    memory_cap: Option<u64>,
 }
 
 impl<C: CostModel> OrderSpace<'_, C> {
     fn family_order(&self, k: usize) -> Option<Vec<Op>> {
+        let graph = self.objective.graph;
         match self.family {
             KFamily::None => None,
             KFamily::ReverseFirstK => {
-                ooo_core::reverse_k::reverse_first_k(self.graph, k, None::<(u64, &C)>).ok()
+                ooo_core::reverse_k::reverse_first_k(graph, k, None::<(u64, &C)>).ok()
             }
-            KFamily::Combined => ooo_core::combined::combined_backward_order(self.graph, k).ok(),
+            KFamily::Combined => ooo_core::combined::combined_backward_order(graph, k).ok(),
         }
     }
 
-    /// k-jump candidates: whole-order replacements, one per depth.
-    fn k_jumps(&self, state: &OrderState) -> Vec<(OrderState, String)> {
-        let mut out = Vec::new();
-        for k in 0..=self.graph.layers() {
-            let Some(order) = self.family_order(k) else {
-                break;
-            };
-            if order == state.order {
-                continue;
-            }
-            let label = match self.family {
-                KFamily::None => unreachable!("family_order returned Some"),
-                KFamily::ReverseFirstK => format!("set reverse-first-k k={k}"),
-                KFamily::Combined => format!("set combined split k={k}"),
-            };
-            out.push((OrderState { order, k: Some(k) }, label));
-        }
-        out
-    }
-
-    /// `dW` relocation candidates within the flat order, with the raw
-    /// `(op, to)` coordinates attached for delta probing. Restricted to
-    /// [`TuneOptions::window`] around each op's current position.
-    fn relocations(&self, state: &OrderState) -> Vec<(OrderState, String, Op, usize)> {
-        let mut out = Vec::new();
-        for (pi, &op) in state.order.iter().enumerate() {
-            if !op.is_weight_grad() {
-                continue;
-            }
-            for to in 0..state.order.len() {
-                if to == pi || self.window.is_some_and(|w| to.abs_diff(pi) > w) {
-                    continue;
-                }
-                let mut order = state.order.clone();
-                order.remove(pi);
-                order.insert(to.min(order.len()), op);
-                out.push((
-                    OrderState { order, k: None },
-                    format!("move {op} to position {to}"),
-                    op,
-                    to,
-                ));
-            }
-        }
-        out
+    /// The two-lane schedule `order` realizes.
+    fn realize_order(&self, order: &[Op]) -> ooo_core::Result<Schedule> {
+        datapar_schedule(
+            self.objective.graph,
+            order,
+            self.objective.cost,
+            self.policy,
+        )
     }
 }
 
 impl<C: CostModel + Sync> SearchSpace for OrderSpace<'_, C> {
     type State = OrderState;
+    type Move = OrderMove;
+    type Cost = C;
 
-    fn score(&self, state: &OrderState) -> Option<SimTime> {
-        let s = datapar_schedule(self.graph, &state.order, self.cost, self.policy).ok()?;
-        let m = predict_makespan(self.graph, &s, self.cost)
-            .ok()
-            .map(|p| p.makespan())?;
-        crate::capped_score(m, self.memory_cap, || {
-            ooo_verify::mem::schedule_peak(self.graph, &s, self.cost).ok()
-        })
+    fn objective(&self) -> &Objective<'_, C> {
+        &self.objective
     }
 
-    fn clean(&self, state: &OrderState) -> bool {
-        match datapar_schedule(self.graph, &state.order, self.cost, self.policy) {
-            Ok(s) => self.verifier.verify(&s).is_clean(),
-            Err(_) => false,
-        }
+    /// Scoring and the safety gate both see the realized two-lane
+    /// schedule ([`datapar_schedule`]).
+    fn realize<'s>(&self, state: &'s OrderState) -> ooo_core::Result<Cow<'s, Schedule>> {
+        self.realize_order(&state.order).map(Cow::Owned)
     }
 
-    fn candidates(&self, state: &OrderState) -> Vec<(OrderState, String)> {
-        let mut out = self.k_jumps(state);
-        out.extend(
-            self.relocations(state)
-                .into_iter()
-                .map(|(st, d, _, _)| (st, d)),
-        );
-        out
-    }
-
-    /// Delta-probed scoring. k-jumps replace the whole order and are
-    /// scored with the full predictor pass. A `dW` relocation whose
-    /// realized *link service order* is unchanged differs from the
-    /// incumbent's realized schedule by exactly one compute-lane
-    /// relocation, so it is probed with [`DeltaEval::relocate_many`]
-    /// (cone-only rescoring) and reverted; when the relocation reorders
-    /// the link lane, the candidate falls back to the full pass. Scores
-    /// are identical either way — the probe is the exact predictor on
-    /// the identical realized schedule.
-    fn scored_candidates(&self, state: &OrderState) -> Vec<(OrderState, String, Option<SimTime>)> {
-        // A memory cap needs the full ledger per candidate; the
-        // makespan-only delta probe cannot supply it.
-        if self.memory_cap.is_some() {
-            return self
-                .candidates(state)
-                .into_iter()
-                .map(|(st, d)| {
-                    let m = self.score(&st);
-                    (st, d, m)
-                })
-                .collect();
-        }
-        let mut out: Vec<(OrderState, String, Option<SimTime>)> = self
-            .k_jumps(state)
-            .into_iter()
-            .map(|(st, d)| {
-                let m = self.score(&st);
-                (st, d, m)
-            })
-            .collect();
-        let relocations = self.relocations(state);
-        let incumbent = datapar_schedule(self.graph, &state.order, self.cost, self.policy).ok();
-        let mut de = incumbent
-            .as_ref()
-            .and_then(|s0| DeltaEval::new(self.graph, s0, self.cost).ok());
-        for (st, d, op, to) in relocations {
-            let m = match (&incumbent, &mut de) {
-                (Some(s0), Some(de)) => {
-                    match datapar_schedule(self.graph, &st.order, self.cost, self.policy) {
-                        Ok(s1)
-                            if s1.lanes.len() == s0.lanes.len()
-                                && (s1.lanes.len() < 2 || s1.lanes[1].ops == s0.lanes[1].ops) =>
-                        {
-                            // Link order unchanged: probe the single
-                            // compute-lane relocation and revert.
-                            let (lane, pos) = de.position_of(op).expect("dW is scheduled");
-                            let probe = de.relocate_many(&[(op, lane, to)]).ok();
-                            if probe.is_some() {
-                                de.relocate_many(&[(op, lane, pos)])
-                                    .expect("reverting to the incumbent cannot deadlock");
-                            }
-                            probe
-                        }
-                        Ok(s1) => predict_makespan(self.graph, &s1, self.cost)
-                            .ok()
-                            .map(|p| p.makespan()),
-                        Err(_) => None,
-                    }
-                }
-                _ => self.score(&st),
+    /// k-jumps (one per depth whose shape differs from the state), then
+    /// every `dW` relocation within [`TuneOptions::window`].
+    fn moves(&self, state: &OrderState) -> Vec<OrderMove> {
+        let mut out = Vec::new();
+        for k in 0..=self.objective.graph.layers() {
+            let Some(order) = self.family_order(k) else {
+                break;
             };
-            out.push((st, d, m));
+            if order != state.order {
+                out.push(OrderMove::SetK(k));
+            }
+        }
+        for (from, &op) in state.order.iter().enumerate() {
+            if !op.is_weight_grad() {
+                continue;
+            }
+            for to in 0..state.order.len() {
+                if to == from || self.window.is_some_and(|w| to.abs_diff(from) > w) {
+                    continue;
+                }
+                out.push(OrderMove::Relocate { op, from, to });
+            }
         }
         out
+    }
+
+    fn apply(&self, state: &OrderState, mv: &OrderMove) -> OrderState {
+        match *mv {
+            OrderMove::SetK(k) => OrderState {
+                order: self.family_order(k).expect("enumerated depths exist"),
+                k: Some(k),
+            },
+            OrderMove::Relocate { op, from, to } => {
+                let mut order = state.order.clone();
+                order.remove(from);
+                order.insert(to.min(order.len()), op);
+                OrderState { order, k: None }
+            }
+        }
+    }
+
+    fn describe(&self, _state: &OrderState, mv: &OrderMove) -> String {
+        match (*mv, self.family) {
+            (OrderMove::SetK(_), KFamily::None) => unreachable!("no k-jumps without a family"),
+            (OrderMove::SetK(k), KFamily::ReverseFirstK) => format!("set reverse-first-k k={k}"),
+            (OrderMove::SetK(k), KFamily::Combined) => format!("set combined split k={k}"),
+            (OrderMove::Relocate { op, to, .. }, _) => format!("move {op} to position {to}"),
+        }
+    }
+
+    /// k-jumps replace the whole order and get the full predictor pass.
+    /// `dW` relocations are delta-probed on the incumbent's realized
+    /// schedule ([`OrderProbe`]), link reorders included.
+    fn delta_scores(&self, state: &OrderState, moves: &[OrderMove]) -> Vec<Option<SimTime>> {
+        let mut probe = OrderProbe::new(self, &state.order);
+        moves
+            .iter()
+            .map(|mv| match *mv {
+                OrderMove::Relocate { op, from, to } => probe.score(op, from, to),
+                OrderMove::SetK(_) => self
+                    .realize_order(&self.apply(state, mv).order)
+                    .ok()
+                    .and_then(|s| self.objective.makespan(&s)),
+            })
+            .collect()
+    }
+}
+
+/// Delta probes for the `dW` relocations of one incumbent order.
+///
+/// Moving `dW_i` shifts the sequential finish time of every op it jumps
+/// over by `dW_i`'s duration and gives `dW_i` the finish of its new slot;
+/// nothing else in the realized compute lane changes. The candidate's
+/// link service order is re-planned from those shifted `dW` finishes
+/// with the shared [`SyncPlanner`] — the planner [`datapar_schedule`]
+/// uses — so the candidate's realized schedule is the incumbent's with
+/// the compute-lane move plus every `S[dW]` whose link slot changed. That
+/// is one [`DeltaEval::relocate_many`] batch, probed and reverted: the
+/// score is the exact predictor on the exact realized candidate, and a
+/// move that breaks a dependency deadlocks the probe and scores `None`.
+struct OrderProbe<'a, 'o> {
+    order: &'o [Op],
+    policy: CommPolicy,
+    de: DeltaEval<'a>,
+    /// Sequential finish time of each position of the incumbent order.
+    finish: Vec<SimTime>,
+    /// The incumbent's `dW` finish per layer (index 0 unused).
+    dw_finish: Vec<SimTime>,
+    /// Wire time of `S[dW_i]` per layer (index 0 unused).
+    sync_ns: Vec<SimTime>,
+    /// The incumbent's link service order (layers); empty without a link.
+    link: Vec<usize>,
+    planner: SyncPlanner,
+    shifted: Vec<SimTime>,
+    batch: MoveBatch,
+    origins: MoveBatch,
+}
+
+impl<'a, 'o> OrderProbe<'a, 'o> {
+    /// A probe on `order`, which must realize and evaluate — every state
+    /// the search holds does (see [`crate::RelocationProbe::new`]).
+    fn new<C: CostModel>(space: &OrderSpace<'a, C>, order: &'o [Op]) -> Self {
+        let (graph, cost) = (space.objective.graph, space.objective.cost);
+        let realized = space.realize_order(order).expect("search states realize");
+        let de = DeltaEval::new(graph, &realized, cost).expect("search states evaluate");
+        let layers = graph.layers();
+        let mut t: SimTime = 0;
+        let mut finish = Vec::with_capacity(order.len());
+        let mut dw_finish = vec![0; layers + 1];
+        for &op in order {
+            t += cost.duration(op);
+            finish.push(t);
+            if let Op::WeightGrad(LayerId(i)) = op {
+                dw_finish[i] = t;
+            }
+        }
+        let link = realized.lanes.get(1).map_or_else(Vec::new, |lane| {
+            lane.ops
+                .iter()
+                .map(|op| op.layer().map_or(0, |LayerId(i)| i))
+                .collect()
+        });
+        OrderProbe {
+            order,
+            policy: space.policy,
+            de,
+            finish,
+            shifted: Vec::with_capacity(dw_finish.len()),
+            dw_finish,
+            sync_ns: std::iter::once(0)
+                .chain((1..=layers).map(|i| cost.duration(Op::SyncWeightGrad(LayerId(i)))))
+                .collect(),
+            link,
+            planner: SyncPlanner::default(),
+            batch: Vec::new(),
+            origins: Vec::new(),
+        }
+    }
+
+    /// The exact makespan of the order with `op` moved from `from` to
+    /// `to`, `None` when that order breaks a dependency.
+    fn score(&mut self, op: Op, from: usize, to: usize) -> Option<SimTime> {
+        self.batch.clear();
+        self.batch.push((op, 0, to));
+        if !self.link.is_empty() {
+            let Op::WeightGrad(LayerId(moved)) = op else {
+                unreachable!("only weight gradients relocate")
+            };
+            let start = |q: usize| if q == 0 { 0 } else { self.finish[q - 1] };
+            let d = self.finish[from] - start(from);
+            self.shifted.clear();
+            self.shifted.extend_from_slice(&self.dw_finish);
+            let (jumped, shift_later) = if to > from {
+                self.shifted[moved] = self.finish[to];
+                (from + 1..to + 1, false)
+            } else {
+                self.shifted[moved] = start(to) + d;
+                (to..from, true)
+            };
+            for q in jumped {
+                if let Op::WeightGrad(LayerId(j)) = self.order[q] {
+                    self.shifted[j] = if shift_later {
+                        self.finish[q] + d
+                    } else {
+                        self.finish[q] - d
+                    };
+                }
+            }
+            let sync_ns = &self.sync_ns;
+            let plan = self
+                .planner
+                .plan(&self.shifted, self.policy, |i| sync_ns[i]);
+            for (q, (&(layer, _, _), &old)) in plan.iter().zip(&self.link).enumerate() {
+                if layer != old {
+                    self.batch.push((Op::SyncWeightGrad(LayerId(layer)), 1, q));
+                }
+            }
+        }
+        probe(&mut self.de, &self.batch, &mut self.origins)
     }
 }
 
@@ -248,60 +324,25 @@ pub fn tune_backward_order<C: CostModel + Sync>(
     family: KFamily,
     opts: &TuneOptions,
 ) -> Result<TunedOrder> {
-    let verifier = Verifier::new(graph)
-        .with_config(opts.verify_config())
-        .with_cost(cost);
-    let realized = datapar_schedule(graph, baseline, cost, policy)?;
-    let report = verifier.verify(&realized);
-    if !report.is_clean() {
-        return Err(Error::Unsafe(report));
-    }
-    let base_raw = predict_makespan(graph, &realized, cost)?.makespan();
-    let base_m = match opts.memory_cap {
-        None => base_raw,
-        Some(cap) => {
-            let peak = ooo_verify::mem::schedule_peak(graph, &realized, cost)?;
-            if peak > cap {
-                base_raw.saturating_add(crate::MEMORY_CAP_PENALTY)
-            } else {
-                base_raw
-            }
-        }
-    };
     let space = OrderSpace {
-        graph,
-        cost,
+        objective: Objective::new(graph, cost, opts),
         policy,
         family,
-        verifier,
         window: opts.window,
-        memory_cap: opts.memory_cap,
     };
     let init = OrderState {
         order: baseline.to_vec(),
         k: baseline_k,
     };
-    let (state, predicted, moves, restarts_adopted) = local_search(&space, init, base_m, opts);
-    // Capped scores carry the penalty; report the raw makespan (and the
-    // winner's exact peak) instead.
-    let (predicted, peak) = match opts.memory_cap {
-        None => (predicted, None),
-        Some(_) => {
-            let s = datapar_schedule(graph, &state.order, cost, policy)?;
-            (
-                predict_makespan(graph, &s, cost)?.makespan(),
-                Some(ooo_verify::mem::schedule_peak(graph, &s, cost)?),
-            )
-        }
-    };
+    let out = tune(&space, init, opts)?;
     Ok(TunedOrder {
-        order: state.order,
-        k: state.k,
-        baseline: base_raw,
-        predicted,
-        peak,
-        moves,
-        restarts_adopted,
+        order: out.state.order,
+        k: out.state.k,
+        baseline: out.baseline,
+        predicted: out.predicted,
+        peak: out.peak,
+        moves: out.moves,
+        restarts_adopted: out.restarts_adopted,
     })
 }
 

@@ -10,13 +10,14 @@
 //! ignores the group the regroup moves are no-ops and greedy descent
 //! simply never accepts them.
 
-use crate::{local_search, AppliedMove, Error, Result, SearchSpace, TuneOptions};
+use crate::{
+    tune, AppliedMove, Objective, Relocation, RelocationProbe, Result, SearchSpace, TuneOptions,
+};
 use ooo_core::cost::CostModel;
 use ooo_core::pipeline::{op_level_schedule, Strategy};
 use ooo_core::schedule::Schedule;
 use ooo_core::{SimTime, TrainGraph};
-use ooo_verify::predict::predict_makespan;
-use ooo_verify::Verifier;
+use std::borrow::Cow;
 
 /// The outcome of tuning one op-level pipeline schedule.
 #[derive(Debug, Clone)]
@@ -53,115 +54,90 @@ struct PipeState {
     group: usize,
 }
 
-struct PipeSpace<'g, C: CostModel> {
-    graph: &'g TrainGraph,
-    cost: &'g C,
-    verifier: Verifier<'g, &'g C>,
+/// One move of the pipeline space.
+#[derive(Debug, Clone, Copy)]
+enum PipeMove {
+    /// Re-render the strategy under modulo group `g`.
+    Regroup(usize),
+    /// An in-lane `dW`-class relocation.
+    Relocate(Relocation),
+}
+
+struct PipeSpace<'g, C> {
+    objective: Objective<'g, C>,
     layers: usize,
     devices: usize,
     strategy: Strategy,
     window: Option<usize>,
-    memory_cap: Option<u64>,
 }
 
 impl<C: CostModel> PipeSpace<'_, C> {
-    /// Regroup candidates: re-render the strategy under every other
-    /// modulo group.
-    fn regroups(&self, state: &PipeState) -> Vec<(PipeState, String)> {
-        let mut out = Vec::new();
-        for group in 1..=self.layers {
-            if group == state.group {
-                continue;
-            }
-            let (_, schedule) = op_level_schedule(self.layers, self.devices, self.strategy, group);
-            if schedule == state.schedule {
-                continue;
-            }
-            out.push((
-                PipeState { schedule, group },
-                format!("regroup modulo {group}"),
-            ));
-        }
-        out
+    fn regrouped(&self, group: usize) -> Schedule {
+        op_level_schedule(self.layers, self.devices, self.strategy, group).1
     }
 }
 
 impl<C: CostModel + Sync> SearchSpace for PipeSpace<'_, C> {
     type State = PipeState;
+    type Move = PipeMove;
+    type Cost = C;
 
-    fn score(&self, state: &PipeState) -> Option<SimTime> {
-        let m = predict_makespan(self.graph, &state.schedule, self.cost)
-            .ok()
-            .map(|p| p.makespan())?;
-        crate::capped_score(m, self.memory_cap, || {
-            ooo_verify::mem::schedule_peak(self.graph, &state.schedule, self.cost).ok()
-        })
+    fn objective(&self) -> &Objective<'_, C> {
+        &self.objective
     }
 
-    fn clean(&self, state: &PipeState) -> bool {
-        self.verifier.verify(&state.schedule).is_clean()
+    fn realize<'s>(&self, state: &'s PipeState) -> ooo_core::Result<Cow<'s, Schedule>> {
+        Ok(Cow::Borrowed(&state.schedule))
     }
 
-    fn candidates(&self, state: &PipeState) -> Vec<(PipeState, String)> {
-        let mut out = self.regroups(state);
-        // In-lane dW-class relocations; ops stay on their device.
-        for (next, description) in
-            crate::schedule_moves(self.graph, &state.schedule, false, self.window)
-        {
-            out.push((
-                PipeState {
-                    schedule: next,
-                    group: state.group,
-                },
-                description,
-            ));
-        }
-        out
-    }
-
-    /// Regroup candidates replace the whole schedule and get the full
-    /// predictor pass; the in-lane relocations are delta-scored with one
-    /// [`ooo_verify::predict::DeltaEval`] over the incumbent
-    /// ([`crate::delta_scored_schedule_moves`]) — cone-only rescoring
-    /// per candidate, identical scores.
-    fn scored_candidates(&self, state: &PipeState) -> Vec<(PipeState, String, Option<SimTime>)> {
-        // A memory cap needs the full ledger per candidate; the
-        // makespan-only delta probe cannot supply it.
-        if self.memory_cap.is_some() {
-            return self
-                .candidates(state)
-                .into_iter()
-                .map(|(st, d)| {
-                    let m = self.score(&st);
-                    (st, d, m)
-                })
-                .collect();
-        }
-        let mut out: Vec<(PipeState, String, Option<SimTime>)> = self
-            .regroups(state)
-            .into_iter()
-            .map(|(st, d)| {
-                let m = self.score(&st);
-                (st, d, m)
-            })
+    /// Regroups under every other modulo group that renders a different
+    /// schedule, then the in-lane relocations (ops stay on their device).
+    fn moves(&self, state: &PipeState) -> Vec<PipeMove> {
+        let mut out: Vec<PipeMove> = (1..=self.layers)
+            .filter(|&g| g != state.group && self.regrouped(g) != state.schedule)
+            .map(PipeMove::Regroup)
             .collect();
-        for (next, description, m) in crate::delta_scored_schedule_moves(
-            self.graph,
-            self.cost,
-            &state.schedule,
-            false,
-            self.window,
-        ) {
-            out.push((
-                PipeState {
-                    schedule: next,
-                    group: state.group,
-                },
-                description,
-                m,
-            ));
-        }
+        out.extend(
+            crate::schedule_relocations(self.objective.graph, &state.schedule, false, self.window)
+                .into_iter()
+                .map(PipeMove::Relocate),
+        );
         out
+    }
+
+    fn apply(&self, state: &PipeState, mv: &PipeMove) -> PipeState {
+        match mv {
+            PipeMove::Regroup(g) => PipeState {
+                schedule: self.regrouped(*g),
+                group: *g,
+            },
+            PipeMove::Relocate(r) => PipeState {
+                schedule: r.apply(&state.schedule),
+                group: state.group,
+            },
+        }
+    }
+
+    fn describe(&self, state: &PipeState, mv: &PipeMove) -> String {
+        match mv {
+            PipeMove::Regroup(g) => format!("regroup modulo {g}"),
+            PipeMove::Relocate(r) => r.describe(&state.schedule),
+        }
+    }
+
+    /// Regroups replace the whole schedule and get the full predictor
+    /// pass; the in-lane relocations are delta-probed on the incumbent
+    /// ([`RelocationProbe`]).
+    fn delta_scores(&self, state: &PipeState, moves: &[PipeMove]) -> Vec<Option<SimTime>> {
+        let mut probe =
+            RelocationProbe::new(self.objective.graph, self.objective.cost, &state.schedule);
+        moves
+            .iter()
+            .map(|mv| match mv {
+                PipeMove::Regroup(g) => self.objective.makespan(&self.regrouped(*g)),
+                PipeMove::Relocate(r) => probe.score(r),
+            })
+            .collect()
     }
 }
 
@@ -170,8 +146,8 @@ impl<C: CostModel + Sync> SearchSpace for PipeSpace<'_, C> {
 ///
 /// # Errors
 ///
-/// [`Error::Unsafe`] when the strategy's own schedule fails the safety
-/// gate; [`Error::Core`] when it does not evaluate.
+/// [`crate::Error::Unsafe`] when the strategy's own schedule fails the
+/// safety gate; [`crate::Error::Core`] when it does not evaluate.
 pub fn tune_pipeline<C: CostModel + Sync>(
     layers: usize,
     devices: usize,
@@ -181,62 +157,27 @@ pub fn tune_pipeline<C: CostModel + Sync>(
     opts: &TuneOptions,
 ) -> Result<TunedPipeline> {
     let (graph, baseline) = op_level_schedule(layers, devices, strategy, group);
-    let verifier = Verifier::new(&graph)
-        .with_config(opts.verify_config())
-        .with_cost(cost);
-    let report = verifier.verify(&baseline);
-    if !report.is_clean() {
-        return Err(Error::Unsafe(report));
-    }
-    let base_raw = predict_makespan(&graph, &baseline, cost)?.makespan();
-    let base_m = match opts.memory_cap {
-        None => base_raw,
-        Some(cap) => {
-            let peak = ooo_verify::mem::schedule_peak(&graph, &baseline, cost)?;
-            if peak > cap {
-                base_raw.saturating_add(crate::MEMORY_CAP_PENALTY)
-            } else {
-                base_raw
-            }
-        }
-    };
     let space = PipeSpace {
-        graph: &graph,
-        cost,
-        verifier,
+        objective: Objective::new(&graph, cost, opts),
         layers,
         devices,
         strategy,
         window: opts.window,
-        memory_cap: opts.memory_cap,
     };
     let init = PipeState {
         schedule: baseline,
         group,
     };
-    let (state, predicted, moves, restarts_adopted) = local_search(&space, init, base_m, opts);
-    // Capped scores carry the penalty; report the raw makespan (and the
-    // winner's exact peak) instead.
-    let (predicted, peak) = match opts.memory_cap {
-        None => (predicted, None),
-        Some(_) => (
-            predict_makespan(&graph, &state.schedule, cost)?.makespan(),
-            Some(ooo_verify::mem::schedule_peak(
-                &graph,
-                &state.schedule,
-                cost,
-            )?),
-        ),
-    };
+    let out = tune(&space, init, opts)?;
     Ok(TunedPipeline {
         graph: graph.clone(),
-        schedule: state.schedule,
-        group: state.group,
-        baseline: base_raw,
-        predicted,
-        peak,
-        moves,
-        restarts_adopted,
+        schedule: out.state.schedule,
+        group: out.state.group,
+        baseline: out.baseline,
+        predicted: out.predicted,
+        peak: out.peak,
+        moves: out.moves,
+        restarts_adopted: out.restarts_adopted,
     })
 }
 

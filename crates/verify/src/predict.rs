@@ -22,12 +22,12 @@
 //! backward order and communication policy; predicting it reproduces the
 //! data-parallel simulator's makespan exactly (zero latency tail).
 
+use ooo_core::arena::GraphArena;
 use ooo_core::cost::CostModel;
 use ooo_core::datapar::CommPolicy;
 use ooo_core::op::LayerId;
 use ooo_core::schedule::Schedule;
 use ooo_core::{Error, Op, SimTime, TrainGraph};
-use std::collections::HashMap;
 
 /// One scheduled operation with its predicted interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,12 +49,18 @@ pub struct PredictedOp {
 pub struct Prediction {
     lane_names: Vec<String>,
     ops: Vec<PredictedOp>,
-    index: HashMap<Op, usize>,
+    /// The graph's op ↔ dense id mapping, so lookups need no hashing.
+    arena: GraphArena,
+    /// Node index per dense op id ([`ABSENT`] for unscheduled ops).
+    index: Vec<u32>,
     /// For each op (by node index), the node whose finish bound its start
     /// (`None` for ops starting at time zero).
     binding: Vec<Option<usize>>,
     makespan: SimTime,
 }
+
+/// Sentinel of [`Prediction`]'s dense index: the op is not scheduled.
+const ABSENT: u32 = u32::MAX;
 
 impl Prediction {
     /// The predicted makespan: latest finish across all lanes.
@@ -73,14 +79,22 @@ impl Prediction {
         &self.lane_names
     }
 
+    fn node_of(&self, op: Op) -> Option<&PredictedOp> {
+        let id = self.arena.id_of(op)?;
+        match self.index[id as usize] {
+            ABSENT => None,
+            i => Some(&self.ops[i as usize]),
+        }
+    }
+
     /// Predicted start time of `op`, if scheduled.
     pub fn start_of(&self, op: Op) -> Option<SimTime> {
-        self.index.get(&op).map(|&i| self.ops[i].start)
+        self.node_of(op).map(|p| p.start)
     }
 
     /// Predicted finish time of `op`, if scheduled.
     pub fn finish_of(&self, op: Op) -> Option<SimTime> {
-        self.index.get(&op).map(|&i| self.ops[i].end)
+        self.node_of(op).map(|p| p.end)
     }
 
     /// Total predicted busy time of lane `lane`.
@@ -142,16 +156,19 @@ pub fn predict_makespan<C: CostModel>(
     schedule: &Schedule,
     cost: &C,
 ) -> Result<Prediction, Error> {
-    let mut index: HashMap<Op, usize> = HashMap::new();
-    let mut nodes: Vec<PredictedOp> = Vec::new();
+    // Dense op id -> node index, and node -> dense op id.
+    let mut index: Vec<u32> = vec![ABSENT; graph.len()];
+    let total: usize = schedule.lanes.iter().map(|l| l.ops.len()).sum();
+    let mut ids: Vec<usize> = Vec::with_capacity(total);
+    let mut nodes: Vec<PredictedOp> = Vec::with_capacity(total);
     for (li, lane) in schedule.lanes.iter().enumerate() {
         for (pos, &op) in lane.ops.iter().enumerate() {
-            if !graph.contains(op) {
-                return Err(Error::UnknownOp(op));
-            }
-            if index.insert(op, nodes.len()).is_some() {
+            let v = graph.op_index(op).ok_or(Error::UnknownOp(op))?;
+            if index[v] != ABSENT {
                 return Err(Error::DuplicateOp(op));
             }
+            index[v] = nodes.len() as u32;
+            ids.push(v);
             nodes.push(PredictedOp {
                 op,
                 lane: li,
@@ -162,25 +179,40 @@ pub fn predict_makespan<C: CostModel>(
         }
     }
 
-    // Union-graph predecessors: the lane predecessor plus every
-    // *scheduled* dependency (outside deps are complete at time zero).
+    // Union-graph predecessors in CSR form: the lane predecessor plus
+    // every *scheduled* dependency (outside deps are complete at time
+    // zero), in that order.
     let n = nodes.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut pred_start: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut preds: Vec<u32> = Vec::with_capacity(2 * n);
     for (i, node) in nodes.iter().enumerate() {
+        pred_start.push(preds.len() as u32);
         if node.index > 0 {
-            preds[i].push(i - 1);
+            preds.push(i as u32 - 1);
         }
-        for dep in graph.deps(node.op)? {
-            if let Some(&d) = index.get(&dep) {
-                preds[i].push(d);
+        for &d in graph.dep_indices(ids[i]) {
+            if index[d] != ABSENT {
+                preds.push(index[d]);
             }
         }
     }
-    let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, ps) in preds.iter().enumerate() {
-        for &p in ps {
-            succs[p].push(i);
+    pred_start.push(preds.len() as u32);
+    let preds_of = |i: usize| &preds[pred_start[i] as usize..pred_start[i + 1] as usize];
+    let mut indeg: Vec<u32> = (0..n).map(|i| preds_of(i).len() as u32).collect();
+    // Successors in CSR form, each list in ascending node order.
+    let mut succ_start: Vec<u32> = vec![0; n + 1];
+    for &p in &preds {
+        succ_start[p as usize + 1] += 1;
+    }
+    for i in 0..n {
+        succ_start[i + 1] += succ_start[i];
+    }
+    let mut fill: Vec<u32> = succ_start[..n].to_vec();
+    let mut succs: Vec<u32> = vec![0; preds.len()];
+    for i in 0..n {
+        for &p in preds_of(i) {
+            succs[fill[p as usize] as usize] = i as u32;
+            fill[p as usize] += 1;
         }
     }
 
@@ -190,19 +222,20 @@ pub fn predict_makespan<C: CostModel>(
     while let Some(i) = queue.pop() {
         done += 1;
         let mut start: SimTime = 0;
-        for &p in &preds[i] {
+        for &p in preds_of(i) {
             // The first predecessor reaching the maximum finish becomes
             // the binding one (preds order is deterministic: lane
             // predecessor first, then deps in graph order).
-            let f = nodes[p].end;
+            let f = nodes[p as usize].end;
             if f > start {
                 start = f;
-                binding[i] = Some(p);
+                binding[i] = Some(p as usize);
             }
         }
         nodes[i].start = start;
         nodes[i].end = start + cost.duration(nodes[i].op);
-        for &s in &succs[i] {
+        for &s in &succs[succ_start[i] as usize..succ_start[i + 1] as usize] {
+            let s = s as usize;
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 queue.push(s);
@@ -216,10 +249,10 @@ pub fn predict_makespan<C: CostModel>(
         let blocked = (0..n).find(|&i| indeg[i] > 0).expect("cycle exists");
         let op = nodes[blocked].op;
         let missing = graph
-            .deps(op)?
-            .into_iter()
-            .find(|d| index.get(d).is_some_and(|&di| indeg[di] > 0))
-            .unwrap_or(op);
+            .dep_indices(ids[blocked])
+            .iter()
+            .find(|&&d| index[d] != ABSENT && indeg[index[d] as usize] > 0)
+            .map_or(op, |&d| graph.ops()[d]);
         return Err(Error::DependencyViolation {
             op,
             missing_dep: missing,
@@ -230,6 +263,7 @@ pub fn predict_makespan<C: CostModel>(
     Ok(Prediction {
         lane_names: schedule.lanes.iter().map(|l| l.name.clone()).collect(),
         ops: nodes,
+        arena: graph.arena().clone(),
         index,
         binding,
         makespan,
@@ -314,6 +348,75 @@ const UNPLACED: NodeState = NodeState {
     end: 0,
 };
 
+/// "No lane predecessor" in [`Scratch::old_pred`].
+const NO_PRED: usize = usize::MAX;
+
+/// Work buffers of one [`DeltaEval`], reused across edits so that an edit
+/// allocates nothing once the buffers have grown to the schedule's size.
+/// Dense arrays are indexed by the op's dense graph index.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Cone membership: `mark[v] == epoch` iff `v` is in the cone being
+    /// re-scored. A new epoch empties the cone in O(1).
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Cone-internal in-degree, valid where `counted[v] == epoch`.
+    indeg: Vec<u32>,
+    counted: Vec<u32>,
+    /// The nodes whose predecessor set changed (input of the cone pass).
+    seeds: Vec<usize>,
+    cone: Vec<usize>,
+    stack: Vec<usize>,
+    queue: Vec<usize>,
+    /// `(node, start, end)` before the cone pass overwrote them.
+    undo: Vec<(usize, SimTime, SimTime)>,
+    /// `relocate_many`: the batch as `(node, lane, position)`.
+    batch: Vec<(usize, usize, usize)>,
+    /// `relocate_many`: the lanes the batch touches, ascending.
+    touched: Vec<usize>,
+    /// `relocate_many`: the touched lanes' contents before the edit,
+    /// back to back, with `(lane, start)` per lane in `saved_spans`.
+    saved: Vec<usize>,
+    saved_spans: Vec<(usize, usize)>,
+    /// `relocate_many`: `(lane, lane predecessor)` of every node of a
+    /// touched lane before the edit ([`NO_PRED`] for a lane head).
+    old_pred: Vec<(usize, usize)>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            mark: vec![0; n],
+            indeg: vec![0; n],
+            counted: vec![0; n],
+            old_pred: vec![(0, NO_PRED); n],
+            ..Scratch::default()
+        }
+    }
+
+    /// Starts a new cone: no node carries the returned stamp yet. On
+    /// wrap-around every mark is cleared, so stale stamps never alias.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.mark.fill(0);
+            self.counted.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Counts `edges` more cone-internal edges into `v` (starting from
+    /// zero the first time this epoch touches `v`).
+    fn count_edge(&mut self, v: usize, edges: u32) {
+        if self.counted[v] != self.epoch {
+            self.counted[v] = self.epoch;
+            self.indeg[v] = 0;
+        }
+        self.indeg[v] += edges;
+    }
+}
+
 /// Incremental (delta) makespan evaluator over the union graph.
 ///
 /// Maintains the exact [`predict_makespan`] timing state for a mutable
@@ -328,6 +431,10 @@ const UNPLACED: NodeState = NodeState {
 /// Edits are all-or-nothing: an edit that would deadlock the lanes
 /// (create a union-graph cycle) is rolled back structurally and timing-
 /// wise, and reported as [`Error::DependencyViolation`].
+///
+/// Edits allocate nothing in steady state: cone membership is an
+/// epoch-stamped mark array and every other work list lives in buffers
+/// owned by the evaluator and reused from edit to edit.
 ///
 /// The evaluator keeps two work counters — [`DeltaEval::rescored`]
 /// (nodes actually re-scored) and [`DeltaEval::full_equivalent`] (nodes
@@ -345,6 +452,7 @@ pub struct DeltaEval<'g> {
     makespan: SimTime,
     rescored: u64,
     full_equivalent: u64,
+    scratch: Scratch,
 }
 
 impl<'g> DeltaEval<'g> {
@@ -366,6 +474,7 @@ impl<'g> DeltaEval<'g> {
             makespan: 0,
             rescored: 0,
             full_equivalent: 0,
+            scratch: Scratch::new(n),
         }
     }
 
@@ -399,16 +508,14 @@ impl<'g> DeltaEval<'g> {
                 de.scheduled += 1;
             }
         }
-        let seeds: Vec<usize> = de
-            .lanes
-            .iter()
-            .flatten()
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        // Every scheduled node seeds the first pass, in ascending order.
+        let mut sc = std::mem::take(&mut de.scratch);
+        sc.seeds
+            .extend((0..de.nodes.len()).filter(|&v| de.nodes[v].scheduled));
         de.full_equivalent += de.scheduled as u64;
-        if let Err(blocked) = de.recompute_cone(&seeds) {
+        let r = de.recompute_cone(&mut sc);
+        de.scratch = sc;
+        if let Err(blocked) = r {
             return Err(de.deadlock_error(blocked));
         }
         Ok(de)
@@ -517,7 +624,12 @@ impl<'g> DeltaEval<'g> {
         self.lanes[lane].push(v);
         self.scheduled += 1;
         self.full_equivalent += self.scheduled as u64;
-        if let Err(blocked) = self.recompute_cone(&[v]) {
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.seeds.clear();
+        sc.seeds.push(v);
+        let r = self.recompute_cone(&mut sc);
+        self.scratch = sc;
+        if let Err(blocked) = r {
             let err = self.deadlock_error(blocked);
             self.lanes[lane].pop();
             self.nodes[v] = UNPLACED;
@@ -538,18 +650,21 @@ impl<'g> DeltaEval<'g> {
         // Removing a node can only relax its union-graph successors; the
         // popped node was last on its lane, so only graph dependents of
         // `v` that are still scheduled can change.
-        let seeds: Vec<usize> = self
-            .graph
-            .dependent_indices(v)
-            .iter()
-            .copied()
-            .filter(|&d| self.nodes[d].scheduled)
-            .collect();
+        let mut sc = std::mem::take(&mut self.scratch);
+        sc.seeds.clear();
+        sc.seeds.extend(
+            self.graph
+                .dependent_indices(v)
+                .iter()
+                .copied()
+                .filter(|&d| self.nodes[d].scheduled),
+        );
         self.full_equivalent += self.scheduled as u64;
-        if !seeds.is_empty() {
-            self.recompute_cone(&seeds)
+        if !sc.seeds.is_empty() {
+            self.recompute_cone(&mut sc)
                 .expect("removal cannot create a cycle");
         }
+        self.scratch = sc;
         self.refresh_makespan();
         Some(self.graph.ops()[v])
     }
@@ -576,13 +691,29 @@ impl<'g> DeltaEval<'g> {
         if moves.is_empty() {
             return Ok(self.makespan);
         }
-        let mut ids: Vec<(usize, usize, usize)> = Vec::with_capacity(moves.len());
+        let mut sc = std::mem::take(&mut self.scratch);
+        let r = self.relocate_batch(&mut sc, moves);
+        self.scratch = sc;
+        r
+    }
+
+    /// Relocates a single op; see [`DeltaEval::relocate_many`].
+    pub fn relocate(&mut self, op: Op, lane: usize, pos: usize) -> Result<SimTime, Error> {
+        self.relocate_many(&[(op, lane, pos)])
+    }
+
+    fn relocate_batch(
+        &mut self,
+        sc: &mut Scratch,
+        moves: &[(Op, usize, usize)],
+    ) -> Result<SimTime, Error> {
+        sc.batch.clear();
         for &(op, to_lane, to_pos) in moves {
             let v = self.graph.op_index(op).ok_or(Error::UnknownOp(op))?;
             if !self.nodes[v].scheduled {
                 return Err(Error::UnknownOp(op));
             }
-            if ids.iter().any(|&(w, _, _)| w == v) {
+            if sc.batch.iter().any(|&(w, _, _)| w == v) {
                 return Err(Error::DuplicateOp(op));
             }
             if to_lane >= self.lanes.len() {
@@ -591,62 +722,60 @@ impl<'g> DeltaEval<'g> {
                     self.lanes.len()
                 )));
             }
-            ids.push((v, to_lane, to_pos));
+            sc.batch.push((v, to_lane, to_pos));
         }
 
         // Snapshot every lane the batch touches, for rollback and for
         // the precise predecessor-changed seed computation.
-        let mut touched: Vec<usize> = ids
-            .iter()
-            .flat_map(|&(v, to_lane, _)| [self.nodes[v].lane, to_lane])
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let saved: Vec<(usize, Vec<usize>)> = touched
-            .iter()
-            .map(|&l| (l, self.lanes[l].clone()))
-            .collect();
+        sc.touched.clear();
+        for &(v, to_lane, _) in &sc.batch {
+            sc.touched.push(self.nodes[v].lane);
+            sc.touched.push(to_lane);
+        }
+        sc.touched.sort_unstable();
+        sc.touched.dedup();
+        sc.saved.clear();
+        sc.saved_spans.clear();
+        for &l in &sc.touched {
+            sc.saved_spans.push((l, sc.saved.len()));
+            let lane = &self.lanes[l];
+            for (p, &v) in lane.iter().enumerate() {
+                sc.saved.push(v);
+                sc.old_pred[v] = (l, if p > 0 { lane[p - 1] } else { NO_PRED });
+            }
+        }
 
         // Structural edit: remove all, then insert in ascending target
         // order so each requested position addresses the final contents.
-        for &(v, _, _) in &ids {
+        for &(v, _, _) in &sc.batch {
             let (l, p) = (self.nodes[v].lane, self.nodes[v].pos);
             self.lane_remove(l, p);
         }
-        let mut inserts = ids.clone();
-        inserts.sort_unstable_by_key(|&(_, l, p)| (l, p));
-        for &(v, l, p) in &inserts {
+        sc.batch.sort_unstable_by_key(|&(_, l, p)| (l, p));
+        for &(v, l, p) in &sc.batch {
             let p = p.min(self.lanes[l].len());
             self.lane_insert(l, p, v);
         }
 
-        // Seeds: exactly the ops whose lane predecessor changed.
-        let mut seeds: Vec<usize> = Vec::new();
-        for (l, old) in &saved {
-            let mut old_pred: HashMap<usize, Option<usize>> = HashMap::new();
-            for (p, &v) in old.iter().enumerate() {
-                old_pred.insert(v, (p > 0).then(|| old[p - 1]));
-            }
-            for (p, &v) in self.lanes[*l].iter().enumerate() {
-                let new_pred = (p > 0).then(|| self.lanes[*l][p - 1]);
-                if old_pred.get(&v) != Some(&new_pred) {
-                    seeds.push(v);
+        // Seeds: exactly the ops whose lane predecessor changed (an op
+        // that changed lanes always counts as changed).
+        sc.seeds.clear();
+        for &l in &sc.touched {
+            let lane = &self.lanes[l];
+            for (p, &v) in lane.iter().enumerate() {
+                let new_pred = if p > 0 { lane[p - 1] } else { NO_PRED };
+                if sc.old_pred[v] != (l, new_pred) {
+                    sc.seeds.push(v);
                 }
             }
         }
-        seeds.sort_unstable();
-        seeds.dedup();
+        sc.seeds.sort_unstable();
+        sc.seeds.dedup();
 
         self.full_equivalent += self.scheduled as u64;
-        if let Err(blocked) = self.recompute_cone(&seeds) {
+        if let Err(blocked) = self.recompute_cone(sc) {
             let err = self.deadlock_error(blocked);
-            for (l, old) in saved {
-                for (p, &v) in old.iter().enumerate() {
-                    self.nodes[v].lane = l;
-                    self.nodes[v].pos = p;
-                }
-                self.lanes[l] = old;
-            }
+            self.restore_lanes(sc);
             // Times of rolled-back nodes were restored by the failed
             // cone pass itself; only the makespan cache needs a refresh.
             self.refresh_makespan();
@@ -655,9 +784,18 @@ impl<'g> DeltaEval<'g> {
         Ok(self.makespan)
     }
 
-    /// Relocates a single op; see [`DeltaEval::relocate_many`].
-    pub fn relocate(&mut self, op: Op, lane: usize, pos: usize) -> Result<SimTime, Error> {
-        self.relocate_many(&[(op, lane, pos)])
+    /// Puts the lanes `relocate_batch` touched back from its snapshot.
+    fn restore_lanes(&mut self, sc: &Scratch) {
+        for (i, &(l, start)) in sc.saved_spans.iter().enumerate() {
+            let end = sc.saved_spans.get(i + 1).map_or(sc.saved.len(), |s| s.1);
+            let old = &sc.saved[start..end];
+            for (p, &v) in old.iter().enumerate() {
+                self.nodes[v].lane = l;
+                self.nodes[v].pos = p;
+            }
+            self.lanes[l].clear();
+            self.lanes[l].extend_from_slice(old);
+        }
     }
 
     fn lane_remove(&mut self, lane: usize, pos: usize) -> usize {
@@ -690,98 +828,95 @@ impl<'g> DeltaEval<'g> {
         start
     }
 
-    /// Re-scores the union-graph descendants of `seeds` (inclusive) in
-    /// topological order. On a cycle, restores the previous times of
+    /// The scheduled union-graph successor of `v` along its lane.
+    fn lane_next(&self, v: usize) -> Option<usize> {
+        let st = self.nodes[v];
+        self.lanes[st.lane].get(st.pos + 1).copied()
+    }
+
+    /// Re-scores the union-graph descendants of `sc.seeds` (inclusive)
+    /// in topological order. On a cycle, restores the previous times of
     /// every cone node and returns one blocked node.
-    fn recompute_cone(&mut self, seeds: &[usize]) -> Result<(), usize> {
-        // Collect the cone: DFS over union-graph successors.
-        let mut in_cone = vec![false; self.nodes.len()];
-        let mut cone: Vec<usize> = Vec::new();
-        let mut stack: Vec<usize> = seeds
-            .iter()
-            .copied()
-            .filter(|&v| self.nodes[v].scheduled)
-            .collect();
-        while let Some(v) = stack.pop() {
-            if in_cone[v] {
+    fn recompute_cone(&mut self, sc: &mut Scratch) -> Result<(), usize> {
+        // Collect the cone: DFS over union-graph successors. The cone is
+        // closed under successors, so counting every edge leaving a cone
+        // node as it is first visited yields each node's cone-internal
+        // in-degree (predecessors outside the cone already carry final
+        // times).
+        let epoch = sc.next_epoch();
+        sc.cone.clear();
+        sc.stack.clear();
+        sc.undo.clear();
+        for i in 0..sc.seeds.len() {
+            let v = sc.seeds[i];
+            if self.nodes[v].scheduled {
+                sc.count_edge(v, 0);
+                sc.stack.push(v);
+            }
+        }
+        while let Some(v) = sc.stack.pop() {
+            if sc.mark[v] == epoch {
                 continue;
             }
-            in_cone[v] = true;
-            cone.push(v);
-            let st = self.nodes[v];
-            if st.pos + 1 < self.lanes[st.lane].len() {
-                stack.push(self.lanes[st.lane][st.pos + 1]);
+            sc.mark[v] = epoch;
+            sc.cone.push(v);
+            if let Some(s) = self.lane_next(v) {
+                sc.count_edge(s, 1);
+                sc.stack.push(s);
             }
             for &d in self.graph.dependent_indices(v) {
                 if self.nodes[d].scheduled {
-                    stack.push(d);
+                    sc.count_edge(d, 1);
+                    sc.stack.push(d);
                 }
             }
         }
-        if cone.is_empty() {
+        if sc.cone.is_empty() {
             self.refresh_makespan();
             return Ok(());
         }
-        let undo: Vec<(usize, SimTime, SimTime)> = cone
-            .iter()
-            .map(|&v| (v, self.nodes[v].start, self.nodes[v].end))
-            .collect();
 
-        // Kahn over cone-internal edges; predecessors outside the cone
-        // already carry final times.
-        let mut indeg: HashMap<usize, usize> = HashMap::with_capacity(cone.len());
-        for &v in &cone {
-            let st = self.nodes[v];
-            let mut d = 0;
-            if st.pos > 0 && in_cone[self.lanes[st.lane][st.pos - 1]] {
-                d += 1;
-            }
-            d += self
-                .graph
-                .dep_indices(v)
-                .iter()
-                .filter(|&&p| self.nodes[p].scheduled && in_cone[p])
-                .count();
-            indeg.insert(v, d);
-        }
-        let mut queue: Vec<usize> = cone.iter().copied().filter(|v| indeg[v] == 0).collect();
+        // Kahn over cone-internal edges.
+        sc.queue.clear();
+        sc.queue
+            .extend(sc.cone.iter().copied().filter(|&v| sc.indeg[v] == 0));
         let mut done = 0usize;
-        while let Some(v) = queue.pop() {
+        while let Some(v) = sc.queue.pop() {
             done += 1;
             let start = self.start_bound(v);
-            self.nodes[v].start = start;
-            self.nodes[v].end = start + self.dur[v];
-            let st = self.nodes[v];
-            if st.pos + 1 < self.lanes[st.lane].len() {
-                let s = self.lanes[st.lane][st.pos + 1];
-                if in_cone[s] {
-                    let d = indeg.get_mut(&s).expect("cone node");
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(s);
+            let node = &mut self.nodes[v];
+            sc.undo.push((v, node.start, node.end));
+            node.start = start;
+            node.end = start + self.dur[v];
+            if let Some(s) = self.lane_next(v) {
+                if sc.mark[s] == epoch {
+                    sc.indeg[s] -= 1;
+                    if sc.indeg[s] == 0 {
+                        sc.queue.push(s);
                     }
                 }
             }
             for &s in self.graph.dependent_indices(v) {
-                if self.nodes[s].scheduled && in_cone[s] {
-                    let d = indeg.get_mut(&s).expect("cone node");
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(s);
+                if self.nodes[s].scheduled && sc.mark[s] == epoch {
+                    sc.indeg[s] -= 1;
+                    if sc.indeg[s] == 0 {
+                        sc.queue.push(s);
                     }
                 }
             }
         }
         self.rescored += done as u64;
-        if done < cone.len() {
-            for (v, start, end) in undo {
+        if done < sc.cone.len() {
+            // Only processed nodes were overwritten; put them back.
+            for &(v, start, end) in &sc.undo {
                 self.nodes[v].start = start;
                 self.nodes[v].end = end;
             }
-            let blocked = cone
+            let blocked = sc
+                .cone
                 .iter()
                 .copied()
-                .find(|v| indeg[v] > 0)
+                .find(|&v| sc.indeg[v] > 0)
                 .expect("cycle exists");
             return Err(blocked);
         }
@@ -982,6 +1117,162 @@ mod tests {
         );
         assert_eq!(de.makespan(), before_makespan, "timing not rolled back");
         assert_delta_matches_full(&g, &de);
+    }
+
+    /// A fixed edit sequence: relocations (single, block, cross-lane), a
+    /// deadlocking relocation, then appends and removals.
+    fn fixed_edit_sequence(g: &TrainGraph) -> (u64, u64, Vec<SimTime>) {
+        let mut main = vec![Op::Loss];
+        for i in (2..=6).rev() {
+            main.push(Op::OutputGrad(LayerId(i)));
+        }
+        for i in 1..=6 {
+            main.push(Op::Forward(LayerId(i)));
+        }
+        let mut sub = Vec::new();
+        for i in (1..=6).rev() {
+            sub.push(Op::WeightGrad(LayerId(i)));
+            sub.push(Op::Update(LayerId(i)));
+        }
+        let mut s = Schedule::new();
+        s.add_lane("main", main);
+        s.add_lane("sub", sub);
+        let mut de = DeltaEval::new(g, &s, &UnitCost).unwrap();
+        let mut seen = vec![de.makespan()];
+        let edits: Vec<Vec<(Op, usize, usize)>> = vec![
+            vec![
+                (Op::WeightGrad(LayerId(6)), 1, 10),
+                (Op::Update(LayerId(6)), 1, 11),
+            ],
+            vec![(Op::WeightGrad(LayerId(1)), 0, 6)],
+            vec![
+                (Op::WeightGrad(LayerId(4)), 0, 3),
+                (Op::Update(LayerId(4)), 0, 4),
+            ],
+            vec![(Op::Update(LayerId(3)), 1, 0)],
+            vec![(Op::WeightGrad(LayerId(6)), 1, 6)],
+            vec![(Op::WeightGrad(LayerId(2)), 0, 1)],
+        ];
+        for e in &edits {
+            seen.push(de.relocate_many(e).unwrap_or(0));
+        }
+        let mut b = DeltaEval::empty(g, ["gpu"], &UnitCost);
+        for &op in &g.conventional_backprop() {
+            seen.push(b.place(0, op).unwrap());
+        }
+        for _ in 0..5 {
+            b.unplace_last(0);
+            seen.push(b.makespan());
+        }
+        (
+            de.rescored() + b.rescored(),
+            de.full_equivalent() + b.full_equivalent(),
+            seen,
+        )
+    }
+
+    /// The work counters feed `cert`'s `delta_speedup`: the reusable
+    /// scratch buffers must not change how many nodes an edit re-scores.
+    /// The expected values were recorded from the allocating evaluator
+    /// on the same edit sequence.
+    #[test]
+    fn delta_eval_counters_are_pinned_on_a_fixed_edit_sequence() {
+        let g = TrainGraph::single_gpu(6);
+        let (rescored, full, seen) = fixed_edit_sequence(&g);
+        assert_eq!((rescored, full), (104, 573));
+        assert_eq!(
+            seen,
+            [
+                12, 12, 12, 13, 0, 13, 0, 0, 1, 2, 2, 3, 4, 4, 5, 6, 6, 7, 8, 8, 9, 10, 10, 11, 11,
+                12, 13, 14, 15, 16, 17, 16, 15, 14, 13, 12
+            ]
+        );
+    }
+
+    fn two_lane_lazy(l: usize) -> Schedule {
+        let mut main = vec![Op::Loss];
+        for i in (2..=l).rev() {
+            main.push(Op::OutputGrad(LayerId(i)));
+        }
+        for i in 1..=l {
+            main.push(Op::Forward(LayerId(i)));
+        }
+        let mut sub = Vec::new();
+        for i in (1..=l).rev() {
+            sub.push(Op::WeightGrad(LayerId(i)));
+            sub.push(Op::Update(LayerId(i)));
+        }
+        let mut s = Schedule::new();
+        s.add_lane("main", main);
+        s.add_lane("sub", sub);
+        s
+    }
+
+    /// Everything observable about an evaluator's state, one line per op.
+    fn snapshot(g: &TrainGraph, de: &DeltaEval<'_>) -> Vec<String> {
+        g.ops()
+            .iter()
+            .map(|&op| {
+                let (pos, start, end) = (de.position_of(op), de.start_of(op), de.finish_of(op));
+                format!("{op} {pos:?} {start:?} {end:?}")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn deadlocking_batch_leaves_the_evaluator_unchanged() {
+        let g = TrainGraph::single_gpu(5);
+        let mut de = DeltaEval::new(&g, &two_lane_lazy(5), &UnitCost).unwrap();
+        de.relocate(Op::WeightGrad(LayerId(5)), 0, 2).unwrap();
+        let before = snapshot(&g, &de);
+        let before_schedule = de.to_schedule();
+        let before_makespan = de.makespan();
+        // A cross-lane batch whose second op deadlocks: U4 ahead of dW4.
+        let err = de
+            .relocate_many(&[
+                (Op::WeightGrad(LayerId(3)), 0, 4),
+                (Op::Update(LayerId(4)), 1, 0),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, Error::DependencyViolation { .. }));
+        assert_eq!(snapshot(&g, &de), before);
+        assert_eq!(de.to_schedule(), before_schedule);
+        assert_eq!(de.makespan(), before_makespan);
+        // The next probe still scores exactly like a fresh prediction.
+        de.relocate_many(&[
+            (Op::WeightGrad(LayerId(2)), 0, 5),
+            (Op::Update(LayerId(2)), 0, 6),
+        ])
+        .unwrap();
+        assert_delta_matches_full(&g, &de);
+    }
+
+    #[test]
+    fn cone_marks_survive_epoch_wrap_around() {
+        let g = TrainGraph::single_gpu(5);
+        let mut de = DeltaEval::new(&g, &two_lane_lazy(5), &UnitCost).unwrap();
+        // Leave stale stamps from high epochs behind, then cross the
+        // wrap: every pass must still see an empty cone to start from.
+        de.scratch.epoch = u32::MAX - 3;
+        let ops = [
+            Op::WeightGrad(LayerId(5)),
+            Op::WeightGrad(LayerId(3)),
+            Op::WeightGrad(LayerId(1)),
+        ];
+        for step in 0..12 {
+            let op = ops[step % ops.len()];
+            let (lane, pos) = de.position_of(op).unwrap();
+            let to = if lane == 0 {
+                (1, step % 3)
+            } else {
+                (0, 3 + step % 4)
+            };
+            let _ = de.relocate(op, to.0, to.1);
+            assert_delta_matches_full(&g, &de);
+            let _ = de.relocate(op, lane, pos);
+            assert_delta_matches_full(&g, &de);
+        }
+        assert!(de.scratch.epoch < 64, "the epoch did not wrap");
     }
 
     #[test]
