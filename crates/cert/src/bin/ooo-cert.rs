@@ -25,14 +25,14 @@
 //! usage, I/O, or parse problems.
 
 use ooo_cert::{certify_order, certify_with, Budget, Certificate, Placement, Solved};
-use ooo_core::cost::{LayerCost, TableCost, UnitCost};
+use ooo_core::cost::UnitCost;
 use ooo_core::datapar::CommPolicy;
-use ooo_core::export::ScheduleBundle;
+use ooo_core::export::{Entry, ScheduleBundle};
 use ooo_core::json::{obj, Value};
 use ooo_core::pipeline::Strategy;
-use ooo_core::reverse_k::reverse_first_k;
+use ooo_core::reverse_k::UniformProblem;
 use ooo_core::schedule::Schedule;
-use ooo_core::{SimTime, TrainGraph};
+use ooo_core::SimTime;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: ooo-cert order --layers N [--k K] [--sync NS] \
@@ -69,27 +69,6 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_strategy(name: &str) -> Result<Strategy, String> {
-    Ok(match name {
-        "mp" | "modelparallel" => Strategy::ModelParallel,
-        "gpipe" => Strategy::GPipe,
-        "pipedream" => Strategy::PipeDream,
-        "dapple" => Strategy::Dapple,
-        "megatron" => Strategy::MegatronInterleaved { chunks: 2 },
-        "pipe1" => Strategy::OooPipe1,
-        "pipe2" => Strategy::OooPipe2,
-        other => return Err(format!("unknown strategy: {other:?}")),
-    })
-}
-
-fn parse_policy(name: &str) -> Result<CommPolicy, String> {
-    Ok(match name {
-        "fifo" => CommPolicy::FifoCompletion,
-        "bylayer" => CommPolicy::PriorityByLayer,
-        other => return Err(format!("unknown policy: {other:?}")),
-    })
-}
-
 fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     argv.next(); // program name
     let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
@@ -119,7 +98,9 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                     "--sync" => {
                         sync = parse_usize("--sync", need_value(&mut argv, "--sync")?)? as SimTime
                     }
-                    "--policy" => policy = parse_policy(&need_value(&mut argv, "--policy")?)?,
+                    "--policy" => {
+                        policy = CommPolicy::from_name(&need_value(&mut argv, "--policy")?)?
+                    }
                     "--budget" => {
                         budget = Budget::nodes(parse_usize(
                             "--budget",
@@ -149,7 +130,9 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
             while let Some(arg) = argv.next() {
                 match arg.as_str() {
                     "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
-                    "--policy" => policy = parse_policy(&need_value(&mut argv, "--policy")?)?,
+                    "--policy" => {
+                        policy = CommPolicy::from_name(&need_value(&mut argv, "--policy")?)?
+                    }
                     "--budget" => {
                         budget = Budget::nodes(parse_usize(
                             "--budget",
@@ -192,7 +175,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                         )?)
                     }
                     "--strategy" => {
-                        strategy = Some(parse_strategy(&need_value(&mut argv, "--strategy")?)?)
+                        strategy = Some(Strategy::from_name(&need_value(&mut argv, "--strategy")?)?)
                     }
                     "--group" => group = parse_usize("--group", need_value(&mut argv, "--group")?)?,
                     "--budget" => {
@@ -346,115 +329,79 @@ fn item_to_human(item: &Item) -> String {
     }
 }
 
-fn run_order_mode(
-    layers: usize,
-    k: usize,
-    sync: SimTime,
-    policy: CommPolicy,
-    budget: &Budget,
-) -> Result<Item, String> {
-    let graph = TrainGraph::data_parallel(layers);
-    let cost = TableCost::uniform(
-        layers,
-        LayerCost {
-            sync_weight: sync,
-            ..LayerCost::default()
-        },
-    );
-    let order = reverse_first_k(&graph, k, None::<(u64, &TableCost)>).map_err(|e| e.to_string())?;
-    let (_, solved) =
-        certify_order(&graph, &order, &cost, policy, budget).map_err(|e| e.to_string())?;
-    Ok(Item {
-        name: format!("reverse-first-k(l={layers}, k={k})"),
-        kind: "order",
-        placement: Placement::ByClass,
-        solved,
-    })
-}
-
-fn run_bundle_mode(
-    path: &str,
-    wanted: Option<&str>,
-    policy: CommPolicy,
-    budget: &Budget,
-) -> Result<Vec<Item>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let bundle = ScheduleBundle::from_json_lenient(&text)
-        .map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let graph = TrainGraph::new(bundle.graph.clone())
-        .map_err(|e| format!("invalid graph configuration: {e}"))?;
-
-    let mut items = Vec::new();
-    for (name, order) in &bundle.orders {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
+fn run(mode: &Mode, budget: &Budget) -> Result<Vec<Item>, String> {
+    match mode {
+        Mode::Order {
+            layers,
+            k,
+            sync,
+            policy,
+        } => {
+            let p = UniformProblem::new(*layers, *k, *sync).map_err(|e| e.to_string())?;
+            let (_, solved) = certify_order(&p.graph, &p.order, &p.cost, *policy, budget)
+                .map_err(|e| e.to_string())?;
+            Ok(vec![Item {
+                name: p.name,
+                kind: "order",
+                placement: Placement::ByClass,
+                solved,
+            }])
         }
-        // Backward orders of a data-parallel graph certify against the
-        // link lane the engine would add; anything else certifies as a
-        // flat single-lane schedule.
-        let solved = if graph.config().sync_weight_grads {
-            let backward: Vec<_> = order.iter().copied().filter(|o| o.is_backward()).collect();
-            certify_order(&graph, &backward, &UnitCost, policy, budget).map(|(_, s)| s)
-        } else {
-            let s = Schedule::single_lane(name, order.clone());
-            certify_with(&graph, &s, &UnitCost, Placement::ByClass, budget)
-        };
-        items.push(Item {
-            name: name.clone(),
-            kind: "order",
-            placement: Placement::ByClass,
-            solved: solved.map_err(|e| format!("{name}: {e}"))?,
-        });
-    }
-    for (name, schedule) in &bundle.schedules {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
+        Mode::Bundle {
+            path,
+            schedule,
+            policy,
+        } => {
+            let (bundle, graph) = ScheduleBundle::load(path)?;
+            let entries = bundle.entries(schedule.as_deref())?;
+            entries
+                .map(|(name, entry)| {
+                    // Backward orders of a data-parallel graph certify
+                    // against the link lane the engine would add.
+                    let (kind, solved) = match &entry {
+                        Entry::Backward(backward) => (
+                            "order",
+                            certify_order(&graph, backward, &UnitCost, *policy, budget)
+                                .map(|(_, s)| s),
+                        ),
+                        Entry::Order(s) => (
+                            "order",
+                            certify_with(&graph, s, &UnitCost, Placement::ByClass, budget),
+                        ),
+                        Entry::Schedule(s) => (
+                            "schedule",
+                            certify_with(&graph, s, &UnitCost, Placement::ByClass, budget),
+                        ),
+                    };
+                    Ok(Item {
+                        name: name.to_string(),
+                        kind,
+                        placement: Placement::ByClass,
+                        solved: solved.map_err(|e| format!("{name}: {e}"))?,
+                    })
+                })
+                .collect()
         }
-        let solved = certify_with(&graph, schedule, &UnitCost, Placement::ByClass, budget)
-            .map_err(|e| format!("{name}: {e}"))?;
-        items.push(Item {
-            name: name.clone(),
-            kind: "schedule",
-            placement: Placement::ByClass,
-            solved,
-        });
+        Mode::Pipeline {
+            layers,
+            devices,
+            strategy,
+            group,
+        } => {
+            let (graph, schedule) =
+                ooo_core::pipeline::op_level_schedule(*layers, *devices, *strategy, *group);
+            // Device placement is part of the pipeline strategy: certify
+            // the per-lane orderings only.
+            let solved = certify_with(&graph, &schedule, &UnitCost, Placement::Fixed, budget)
+                .map_err(|e| e.to_string())?;
+            Ok(vec![Item {
+                name: format!("{}(l={layers}, d={devices}, g={group})", strategy.label()),
+                kind: "pipeline",
+                placement: Placement::Fixed,
+                solved,
+            }])
+        }
     }
-    if items.is_empty() {
-        return Err(match wanted {
-            Some(w) => format!("no order or schedule named {w:?} in the bundle"),
-            None => "bundle holds no orders or schedules".to_string(),
-        });
-    }
-    Ok(items)
-}
-
-fn run_pipeline_mode(
-    layers: usize,
-    devices: usize,
-    strategy: Strategy,
-    group: usize,
-    budget: &Budget,
-) -> Result<Item, String> {
-    let (graph, schedule) = ooo_core::pipeline::op_level_schedule(layers, devices, strategy, group);
-    // Device placement is part of the pipeline strategy: certify the
-    // per-lane orderings only.
-    let solved = certify_with(&graph, &schedule, &UnitCost, Placement::Fixed, budget)
-        .map_err(|e| e.to_string())?;
-    let name = match strategy {
-        Strategy::ModelParallel => "model-parallel",
-        Strategy::GPipe => "gpipe",
-        Strategy::PipeDream => "pipedream",
-        Strategy::Dapple => "dapple",
-        Strategy::MegatronInterleaved { .. } => "megatron-interleaved",
-        Strategy::OooPipe1 => "ooo-pipe1",
-        Strategy::OooPipe2 => "ooo-pipe2",
-    };
-    Ok(Item {
-        name: format!("{name}(l={layers}, d={devices}, g={group})"),
-        kind: "pipeline",
-        placement: Placement::Fixed,
-        solved,
-    })
 }
 
 fn main() -> ExitCode {
@@ -466,26 +413,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let items = match &args.mode {
-        Mode::Order {
-            layers,
-            k,
-            sync,
-            policy,
-        } => run_order_mode(*layers, *k, *sync, *policy, &args.budget).map(|i| vec![i]),
-        Mode::Bundle {
-            path,
-            schedule,
-            policy,
-        } => run_bundle_mode(path, schedule.as_deref(), *policy, &args.budget),
-        Mode::Pipeline {
-            layers,
-            devices,
-            strategy,
-            group,
-        } => run_pipeline_mode(*layers, *devices, *strategy, *group, &args.budget).map(|i| vec![i]),
-    };
-    let items = match items {
+    let items = match run(&args.mode, &args.budget) {
         Ok(items) => items,
         Err(msg) => {
             eprintln!("ooo-cert: {msg}");

@@ -687,52 +687,6 @@ pub fn run_tuned(
     ))
 }
 
-/// Like [`run_tuned`], but the tuned backward order's two-lane
-/// data-parallel realization is additionally put before the
-/// [`ooo_cert`] exact solver, which either proves it optimal over all
-/// same-class placements, exhibits a strictly better witness, or
-/// returns certified bounds on budget exhaustion. Returns the report,
-/// the tuning outcome, and the certificate.
-///
-/// # Errors
-///
-/// As [`run_tuned`], plus [`crate::Error::InvalidConfig`] when the
-/// certifier rejects the tuned order (which would indicate an engine
-/// bug: tuned orders are valid by construction).
-pub fn run_certified(
-    model: &ModelSpec,
-    per_gpu_batch: usize,
-    gpu: &GpuProfile,
-    topology: &ClusterTopology,
-    gpus: usize,
-    budget: &ooo_cert::Budget,
-) -> Result<(DataParReport, ooo_tune::order::TunedOrder, ooo_cert::Solved)> {
-    let (report, tuned) = run_tuned(model, per_gpu_batch, gpu, topology, gpus)?;
-    // Mirror `run_tuned`'s cost table: compute times from the GPU
-    // profile, `S[dW_i]` as the push+pull wire time of this link.
-    let s = setup(
-        model,
-        per_gpu_batch,
-        gpu,
-        topology,
-        gpus,
-        CommSystem::OooBytePS,
-    );
-    let mut tune_cost = s.cost.clone();
-    for (i, &bytes) in s.wire_bytes.iter().enumerate() {
-        tune_cost.layer_mut(LayerId(i + 1)).sync_weight = s.link.transfer_ns(2 * bytes);
-    }
-    let (_, solved) = ooo_cert::certify_order(
-        &s.graph,
-        &tuned.order,
-        &tune_cost,
-        ooo_core::datapar::CommPolicy::PriorityByLayer,
-        budget,
-    )
-    .map_err(|e| crate::Error::InvalidConfig(format!("certification failed: {e}")))?;
-    Ok((report, tuned, solved))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

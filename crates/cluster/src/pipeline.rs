@@ -113,46 +113,6 @@ pub fn run_tuned(
     Ok((report, tuned))
 }
 
-/// Like [`run_tuned`], but the tuned op-level schedule is additionally
-/// put before the [`ooo_cert`] exact solver under fixed device
-/// placement (stage assignment is part of the pipeline strategy, so
-/// only per-lane orderings are searched): it either proves the tuned
-/// orderings optimal, exhibits a strictly better witness, or returns
-/// certified bounds when the node budget runs out. Returns the report,
-/// the tuning outcome, and the certificate.
-///
-/// # Errors
-///
-/// As [`run_tuned`], plus [`Error::InvalidConfig`] when the certifier
-/// rejects the tuned schedule (which would indicate an engine bug:
-/// tuned schedules evaluate by construction).
-#[allow(clippy::too_many_arguments)]
-pub fn run_tuned_certified(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    link: &LinkSpec,
-    devices: usize,
-    iterations: usize,
-    budget: &ooo_cert::Budget,
-) -> Result<(
-    PipelineReport,
-    ooo_tune::pipeline::TunedPipeline,
-    ooo_cert::Solved,
-)> {
-    let (report, tuned) = run_tuned(model, batch, micro_batches, gpu, link, devices, iterations)?;
-    let solved = ooo_cert::certify_with(
-        &tuned.graph,
-        &tuned.schedule,
-        &ooo_core::cost::UnitCost,
-        ooo_cert::Placement::Fixed,
-        budget,
-    )
-    .map_err(|e| Error::InvalidConfig(format!("certification failed: {e}")))?;
-    Ok((report, tuned, solved))
-}
-
 /// Like [`run`] with one pipeline stage straggling: every computation
 /// placed on `straggler_device` runs `factor`× slower (a factor ≤ 1
 /// reproduces [`run`] exactly). This is the per-stage slowdown 2BP-style

@@ -503,39 +503,6 @@ pub fn run_ooo_tuned(
     Ok((report, tuned))
 }
 
-/// Like [`run_ooo_tuned`], but the tuned schedule is additionally put
-/// before the [`ooo_cert`] exact solver: under fixed lane placement
-/// (the engine pins every `dW` to the sub-stream) the branch-and-bound
-/// search either proves the tuned per-lane orderings optimal, exhibits
-/// a strictly better witness, or returns certified bounds when the
-/// node budget runs out. Returns the report, the tuning outcome, and
-/// the certificate.
-///
-/// # Errors
-///
-/// As [`run_ooo_tuned`], plus [`Error::InvalidConfig`] when the
-/// certifier rejects the tuned schedule (which would indicate an
-/// engine bug: tuned schedules evaluate by construction).
-pub fn run_ooo_certified(
-    model: &ModelSpec,
-    batch: usize,
-    gpu: &GpuProfile,
-    budget: &ooo_cert::Budget,
-) -> Result<(SingleGpuReport, ooo_tune::Tuned, ooo_cert::Solved)> {
-    let (report, tuned) = run_ooo_tuned(model, batch, gpu)?;
-    let graph = TrainGraph::single_gpu(model.num_layers());
-    let cost = to_table_cost(model, batch, gpu);
-    let solved = ooo_cert::certify_with(
-        &graph,
-        &tuned.schedule,
-        &cost,
-        ooo_cert::Placement::Fixed,
-        budget,
-    )
-    .map_err(|e| Error::InvalidConfig(format!("certification failed: {e}")))?;
-    Ok((report, tuned, solved))
-}
-
 /// Runs Algorithm 1 for a model and returns the sub-stream schedule,
 /// constrained to 1.1x the conventional schedule's peak memory — the
 /// budget the paper uses throughout its single-GPU experiments.

@@ -19,6 +19,7 @@
 
 use crate::cost::CostModel;
 use crate::graph::TrainGraph;
+use crate::schedule::Schedule;
 use crate::SimTime;
 
 /// The critical-path lower bound: the longest cost-weighted dependency
@@ -217,6 +218,39 @@ pub fn partial_lower_bound<C: CostModel>(
         }
     }
     best
+}
+
+/// The lane structure of `schedule` as the bounds count it: the number
+/// of lanes running any compute op and the number running any sync op,
+/// each at least 1.
+pub fn lane_classes(schedule: &Schedule) -> (usize, usize) {
+    let count = |class: fn(crate::Op) -> bool| {
+        schedule
+            .lanes
+            .iter()
+            .filter(|l| l.ops.iter().any(|&o| class(o)))
+            .count()
+            .max(1)
+    };
+    (count(crate::Op::is_compute), count(crate::Op::is_sync))
+}
+
+/// The certified makespan floor of `schedule`: [`partial_lower_bound`]
+/// over exactly the ops it runs, on its [`lane_classes`]. Moves that
+/// reorder ops or shift them between existing lanes never add lanes or
+/// ops, so no such descendant of `schedule` can beat this bound.
+pub fn schedule_lower_bound<C: CostModel>(
+    graph: &TrainGraph,
+    cost: &C,
+    schedule: &Schedule,
+) -> SimTime {
+    let scheduled: Vec<crate::Op> = schedule
+        .lanes
+        .iter()
+        .flat_map(|l| l.ops.iter().copied())
+        .collect();
+    let (compute, link) = lane_classes(schedule);
+    partial_lower_bound(graph, cost, &scheduled, compute, link)
 }
 
 /// Makespan divided by the lower bound (1.0 = provably optimal).

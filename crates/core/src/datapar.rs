@@ -32,6 +32,29 @@ pub enum CommPolicy {
     PriorityByLayer,
 }
 
+impl CommPolicy {
+    /// Parses the name the front ends accept: `fifo` or `bylayer`.
+    ///
+    /// # Errors
+    ///
+    /// `unknown policy: "<name>"` for any other string.
+    pub fn from_name(name: &str) -> std::result::Result<CommPolicy, String> {
+        match name {
+            "fifo" => Ok(CommPolicy::FifoCompletion),
+            "bylayer" => Ok(CommPolicy::PriorityByLayer),
+            other => Err(format!("unknown policy: {other:?}")),
+        }
+    }
+
+    /// The name [`CommPolicy::from_name`] accepts.
+    pub fn name(self) -> &'static str {
+        match self {
+            CommPolicy::FifoCompletion => "fifo",
+            CommPolicy::PriorityByLayer => "bylayer",
+        }
+    }
+}
+
 /// Resource id of the compute lane in the produced timeline.
 pub const COMPUTE: ResourceId = ResourceId(0);
 /// Resource id of the communication lane in the produced timeline.

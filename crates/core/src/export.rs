@@ -19,7 +19,24 @@ use crate::graph::{GraphConfig, TrainGraph};
 use crate::json::{obj, Value};
 use crate::op::Op;
 use crate::schedule::{validate_partial_order, ResourceId, ResourceSchedule, Schedule};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+/// One bundle entry, in the form the engines run it
+/// ([`ScheduleBundle::entries`]).
+#[derive(Debug)]
+pub enum Entry<'a> {
+    /// An order of a data-parallel graph (`sync_weight_grads`), reduced
+    /// to its backward subsequence: exported orders may carry the
+    /// sync/update/forward tail inline, while the engine takes the
+    /// backward pass alone and runs it against the link lane it adds
+    /// (`ooo_verify::predict::datapar_schedule` realizes it).
+    Backward(Vec<Op>),
+    /// An order of any other graph, run as a flat single-lane schedule.
+    Order(Schedule),
+    /// A multi-lane schedule, run as exported.
+    Schedule(&'a Schedule),
+}
 
 /// A named bundle of execution schedules for one model.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,6 +157,92 @@ impl ScheduleBundle {
         Ok(bundle)
     }
 
+    /// Reads and leniently parses ([`ScheduleBundle::from_json_lenient`])
+    /// the bundle at `path`, and builds its graph.
+    ///
+    /// # Errors
+    ///
+    /// The one-line message the CLIs print: `cannot read <path>: …`,
+    /// `cannot parse <path>: …`, or `invalid graph configuration: …`.
+    pub fn load(path: &str) -> std::result::Result<(Self, TrainGraph), String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let bundle =
+            Self::from_json_lenient(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+        let graph = bundle.train_graph()?;
+        Ok((bundle, graph))
+    }
+
+    /// The dependency graph of the bundle's configuration.
+    ///
+    /// # Errors
+    ///
+    /// `invalid graph configuration: …` when the configuration does not
+    /// build.
+    pub fn train_graph(&self) -> std::result::Result<TrainGraph, String> {
+        TrainGraph::new(self.graph.clone()).map_err(|e| format!("invalid graph configuration: {e}"))
+    }
+
+    /// The entries named `wanted` (all of them when `None`), orders
+    /// first, each group in name order, as the engines run them: see
+    /// [`Entry`]. This is the walk of `ooo-tune`, `ooo-cert`,
+    /// `ooo-advise` and the `ooo-serve` bundle command.
+    ///
+    /// # Errors
+    ///
+    /// When `wanted` names no entry, or the bundle holds none.
+    pub fn entries<'a>(
+        &'a self,
+        wanted: Option<&'a str>,
+    ) -> std::result::Result<impl Iterator<Item = (&'a str, Entry<'a>)>, String> {
+        self.check_selection(wanted, false)?;
+        let data_parallel = self.graph.sync_weight_grads;
+        let orders = named(&self.orders, wanted).map(move |(name, order)| {
+            let entry = if data_parallel {
+                Entry::Backward(order.iter().copied().filter(|o| o.is_backward()).collect())
+            } else {
+                Entry::Order(Schedule::single_lane(name, order.clone()))
+            };
+            (name, entry)
+        });
+        let schedules = named(&self.schedules, wanted).map(|(name, s)| (name, Entry::Schedule(s)));
+        Ok(orders.chain(schedules))
+    }
+
+    /// The flat walk of the static checkers (`ooo-lint`,
+    /// `ooo-memcheck`): every order as a single-lane schedule, whatever
+    /// the graph, and every schedule as exported. Unlike
+    /// [`ScheduleBundle::entries`], an empty bundle is not an error.
+    ///
+    /// # Errors
+    ///
+    /// When `wanted` names no entry.
+    pub fn flat_entries<'a>(
+        &'a self,
+        wanted: Option<&'a str>,
+    ) -> std::result::Result<impl Iterator<Item = (&'a str, Cow<'a, Schedule>)>, String> {
+        self.check_selection(wanted, true)?;
+        let orders = named(&self.orders, wanted)
+            .map(|(name, order)| (name, Cow::Owned(Schedule::single_lane(name, order.clone()))));
+        let schedules = named(&self.schedules, wanted).map(|(name, s)| (name, Cow::Borrowed(s)));
+        Ok(orders.chain(schedules))
+    }
+
+    fn check_selection(
+        &self,
+        wanted: Option<&str>,
+        allow_empty: bool,
+    ) -> std::result::Result<(), String> {
+        match wanted {
+            Some(w) if !self.orders.contains_key(w) && !self.schedules.contains_key(w) => {
+                Err(format!("no order or schedule named {w:?} in the bundle"))
+            }
+            None if !allow_empty && self.orders.is_empty() && self.schedules.is_empty() => {
+                Err("bundle holds no orders or schedules".to_string())
+            }
+            _ => Ok(()),
+        }
+    }
+
     fn from_value(root: &Value) -> Result<Self> {
         let model = require_str(root, "model")?.to_string();
         let graph = graph_config_from_value(require(root, "graph")?)?;
@@ -158,6 +261,16 @@ impl ScheduleBundle {
             schedules,
         })
     }
+}
+
+/// The entries of `map` named `wanted` (all of them when `None`).
+fn named<'a, T>(
+    map: &'a BTreeMap<String, T>,
+    wanted: Option<&'a str>,
+) -> impl Iterator<Item = (&'a str, &'a T)> {
+    map.iter()
+        .filter(move |(name, _)| wanted.is_none_or(|w| w == name.as_str()))
+        .map(|(name, v)| (name.as_str(), v))
 }
 
 /// One analyzer finding in the machine-readable diagnostics format.

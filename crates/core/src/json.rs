@@ -545,6 +545,13 @@ impl From<f64> for Value {
     }
 }
 
+impl<V: Into<Value>> From<Option<V>> for Value {
+    /// `null` for `None`.
+    fn from(v: Option<V>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
 impl<V: Into<Value>> From<Vec<V>> for Value {
     fn from(items: Vec<V>) -> Self {
         Value::Arr(items.into_iter().map(Into::into).collect())

@@ -108,6 +108,49 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// Parses the name `ooo-tune`, `ooo-cert`, `ooo-advise` and
+    /// `ooo-serve` accept for a strategy (the inverse of
+    /// [`Strategy::name`], plus the `modelparallel` alias).
+    ///
+    /// # Errors
+    ///
+    /// `unknown strategy: "<name>"` for any other string.
+    pub fn from_name(name: &str) -> std::result::Result<Strategy, String> {
+        Ok(match name {
+            "mp" | "modelparallel" => Strategy::ModelParallel,
+            "gpipe" => Strategy::GPipe,
+            "pipedream" => Strategy::PipeDream,
+            "dapple" => Strategy::Dapple,
+            "megatron" => Strategy::MegatronInterleaved { chunks: 2 },
+            "pipe1" => Strategy::OooPipe1,
+            "pipe2" => Strategy::OooPipe2,
+            other => return Err(format!("unknown strategy: {other:?}")),
+        })
+    }
+
+    /// The stable short name [`Strategy::from_name`] accepts
+    /// (`pipe2`); `ooo-serve` echoes it in responses.
+    pub fn name(self) -> &'static str {
+        self.names().0
+    }
+
+    /// The display name the CLIs print (`ooo-pipe2`).
+    pub fn label(self) -> &'static str {
+        self.names().1
+    }
+
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Strategy::ModelParallel => ("mp", "model-parallel"),
+            Strategy::GPipe => ("gpipe", "gpipe"),
+            Strategy::PipeDream => ("pipedream", "pipedream"),
+            Strategy::Dapple => ("dapple", "dapple"),
+            Strategy::MegatronInterleaved { .. } => ("megatron", "megatron-interleaved"),
+            Strategy::OooPipe1 => ("pipe1", "ooo-pipe1"),
+            Strategy::OooPipe2 => ("pipe2", "ooo-pipe2"),
+        }
+    }
+
     /// Whether weight-gradient computations are decoupled from their
     /// layer's output-gradient computation (gradient fast-forwarding).
     pub fn fast_forwarding(self) -> bool {

@@ -9,11 +9,12 @@
 //! order — so their synchronizations start as early as possible and
 //! overlap the remaining backward computation.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, LayerCost, TableCost};
 use crate::error::{Error, Result};
 use crate::graph::TrainGraph;
 use crate::memory::reverse_k_peak_estimate;
 use crate::op::{LayerId, Op};
+use crate::SimTime;
 
 /// Builds the backward-pass order of Algorithm 2 for the given `k`.
 ///
@@ -62,6 +63,50 @@ pub fn reverse_first_k<C: CostModel>(
         order.push(Op::WeightGrad(LayerId(i)));
     }
     Ok(order)
+}
+
+/// The uniform reverse-first-k problem that `ooo-tune order`,
+/// `ooo-cert order`, `ooo-memcheck order` and the `ooo-serve` `order`
+/// and `cert` commands pose: a data-parallel graph, default per-layer
+/// costs with `S[dW]` lasting `sync`, and the reverse first-`k`
+/// backward order.
+#[derive(Debug)]
+pub struct UniformProblem {
+    /// `reverse-first-k(l=<layers>, k=<k>)`, the name the front ends
+    /// report.
+    pub name: String,
+    /// [`TrainGraph::data_parallel`] with `layers` layers.
+    pub graph: TrainGraph,
+    /// The uniform cost table.
+    pub cost: TableCost,
+    /// The reverse first-`k` backward order.
+    pub order: Vec<Op>,
+}
+
+impl UniformProblem {
+    /// Builds the problem.
+    ///
+    /// # Errors
+    ///
+    /// As [`reverse_first_k`]: [`Error::InvalidConfig`] when
+    /// `k > layers`.
+    pub fn new(layers: usize, k: usize, sync: SimTime) -> Result<Self> {
+        let graph = TrainGraph::data_parallel(layers);
+        let cost = TableCost::uniform(
+            layers,
+            LayerCost {
+                sync_weight: sync,
+                ..LayerCost::default()
+            },
+        );
+        let order = reverse_first_k(&graph, k, None::<(u64, &TableCost)>)?;
+        Ok(UniformProblem {
+            name: format!("reverse-first-k(l={layers}, k={k})"),
+            graph,
+            cost,
+            order,
+        })
+    }
 }
 
 /// The largest `j` whose reverse-first-`j` peak-memory estimate stays

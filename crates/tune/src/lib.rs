@@ -60,6 +60,7 @@ pub mod order;
 pub mod pipeline;
 #[doc(hidden)]
 pub mod reference;
+pub mod request;
 
 use ooo_core::cost::CostModel;
 use ooo_core::schedule::Schedule;
@@ -174,9 +175,6 @@ pub struct TuneOptions {
     /// Require schedules to cover the whole graph (pass `false` for the
     /// partial schedules of engines whose updates are implicit).
     pub require_complete: bool,
-    /// Optional memory budget forwarded to the verifier's liveness
-    /// analysis (OV301).
-    pub memory_budget: Option<u64>,
     /// Optional peak-memory cap on the *objective*: candidates whose
     /// exact static ledger peak ([`ooo_verify::mem::schedule_peak`])
     /// exceeds the cap score a large constant penalty on top of their
@@ -235,7 +233,6 @@ impl Default for TuneOptions {
             max_moves: 256,
             cross_lane: true,
             require_complete: true,
-            memory_budget: None,
             memory_cap: None,
             target: None,
             parallel: true,
@@ -259,7 +256,7 @@ impl TuneOptions {
     pub(crate) fn verify_config(&self) -> VerifyConfig {
         VerifyConfig {
             require_complete: self.require_complete,
-            memory_budget: self.memory_budget,
+            memory_budget: None,
             check_legality: true,
         }
     }

@@ -19,11 +19,9 @@
 //! I/O, or parse problems.
 
 use ooo_core::datapar::CommPolicy;
-use ooo_core::export::ScheduleBundle;
+use ooo_core::export::{Entry, ScheduleBundle};
 use ooo_core::json::{obj, Value};
 use ooo_core::pipeline::Strategy;
-use ooo_core::schedule::Schedule;
-use ooo_core::TrainGraph;
 use ooo_verify::perf::{advise_pipeline, PerfAdvisor, PerfReport};
 use std::process::ExitCode;
 
@@ -52,19 +50,6 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_strategy(name: &str) -> Result<Strategy, String> {
-    Ok(match name {
-        "mp" | "modelparallel" => Strategy::ModelParallel,
-        "gpipe" => Strategy::GPipe,
-        "pipedream" => Strategy::PipeDream,
-        "dapple" => Strategy::Dapple,
-        "megatron" => Strategy::MegatronInterleaved { chunks: 2 },
-        "pipe1" => Strategy::OooPipe1,
-        "pipe2" => Strategy::OooPipe2,
-        other => return Err(format!("unknown strategy: {other:?}")),
-    })
-}
-
 fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     argv.next(); // program name
     let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
@@ -87,11 +72,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                 match arg.as_str() {
                     "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
                     "--policy" => {
-                        policy = match need_value(&mut argv, "--policy")?.as_str() {
-                            "fifo" => CommPolicy::FifoCompletion,
-                            "bylayer" => CommPolicy::PriorityByLayer,
-                            other => return Err(format!("unknown policy: {other:?}")),
-                        }
+                        policy = CommPolicy::from_name(&need_value(&mut argv, "--policy")?)?
                     }
                     "--json" => json = true,
                     "--out" => out = Some(need_value(&mut argv, "--out")?),
@@ -129,7 +110,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                         )?)
                     }
                     "--strategy" => {
-                        strategy = Some(parse_strategy(&need_value(&mut argv, "--strategy")?)?)
+                        strategy = Some(Strategy::from_name(&need_value(&mut argv, "--strategy")?)?)
                     }
                     "--group" => group = parse_usize("--group", need_value(&mut argv, "--group")?)?,
                     "--json" => json = true,
@@ -256,48 +237,20 @@ fn analyze_bundle(
     wanted: Option<&str>,
     policy: CommPolicy,
 ) -> Result<Vec<(String, PerfReport)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let bundle = ScheduleBundle::from_json_lenient(&text)
-        .map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let graph = TrainGraph::new(bundle.graph.clone())
-        .map_err(|e| format!("invalid graph configuration: {e}"))?;
+    let (bundle, graph) = ScheduleBundle::load(path)?;
     let advisor = PerfAdvisor::new(&graph);
-
-    let mut reports = Vec::new();
-    for (name, order) in &bundle.orders {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
-        // Backward orders of a data-parallel graph run against the link
-        // lane the engine would add; anything else is a flat schedule.
-        // Exported orders may carry the sync/update/forward tail inline
-        // (the simulator contract takes the backward pass alone and
-        // appends the rest), so reduce to the backward subsequence first.
-        let report = if graph.config().sync_weight_grads {
-            let backward: Vec<_> = order.iter().copied().filter(|o| o.is_backward()).collect();
-            advisor.analyze_order(&backward, policy)
-        } else {
-            advisor.analyze(&Schedule::single_lane(name, order.clone()))
-        };
-        let report = report.map_err(|e| format!("order {name:?}: {e}"))?;
-        reports.push((name.clone(), report));
-    }
-    for (name, schedule) in &bundle.schedules {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
-        let report = advisor
-            .analyze(schedule)
-            .map_err(|e| format!("schedule {name:?}: {e}"))?;
-        reports.push((name.clone(), report));
-    }
-    if reports.is_empty() {
-        return Err(match wanted {
-            Some(w) => format!("no order or schedule named {w:?} in the bundle"),
-            None => "bundle holds no orders or schedules".to_string(),
-        });
-    }
-    Ok(reports)
+    let entries = bundle.entries(wanted)?;
+    entries
+        .map(|(name, entry)| {
+            let (what, report) = match &entry {
+                Entry::Backward(backward) => ("order", advisor.analyze_order(backward, policy)),
+                Entry::Order(s) => ("order", advisor.analyze(s)),
+                Entry::Schedule(s) => ("schedule", advisor.analyze(s)),
+            };
+            let report = report.map_err(|e| format!("{what} {name:?}: {e}"))?;
+            Ok((name.to_string(), report))
+        })
+        .collect()
 }
 
 fn main() -> ExitCode {
@@ -327,18 +280,7 @@ fn main() -> ExitCode {
             strategy,
             group,
         } => match advise_pipeline(*layers, *devices, *strategy, *group) {
-            Ok(r) => {
-                let name = match strategy {
-                    Strategy::ModelParallel => "model-parallel",
-                    Strategy::GPipe => "gpipe",
-                    Strategy::PipeDream => "pipedream",
-                    Strategy::Dapple => "dapple",
-                    Strategy::MegatronInterleaved { .. } => "megatron-interleaved",
-                    Strategy::OooPipe1 => "ooo-pipe1",
-                    Strategy::OooPipe2 => "ooo-pipe2",
-                };
-                vec![(name.to_string(), r)]
-            }
+            Ok(r) => vec![(strategy.label().to_string(), r)],
             Err(e) => {
                 eprintln!("ooo-advise: pipeline analysis failed: {e}");
                 return ExitCode::from(2);

@@ -14,8 +14,6 @@
 //! problems.
 
 use ooo_core::export::{diagnostics_to_json, ScheduleBundle};
-use ooo_core::schedule::Schedule;
-use ooo_core::TrainGraph;
 use ooo_verify::{Verifier, VerifyConfig};
 use std::process::ExitCode;
 
@@ -78,46 +76,20 @@ fn main() -> ExitCode {
         }
     };
 
-    let text = match std::fs::read_to_string(&args.bundle_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ooo-lint: cannot read {}: {e}", args.bundle_path);
-            return ExitCode::from(2);
-        }
+    let fail = |msg: String| {
+        eprintln!("ooo-lint: {msg}");
+        ExitCode::from(2)
     };
     // Lenient parse: a bundle whose schedule is broken must still load so
     // the analyzer can explain what is wrong with it.
-    let bundle = match ScheduleBundle::from_json_lenient(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("ooo-lint: cannot parse {}: {e}", args.bundle_path);
-            return ExitCode::from(2);
-        }
+    let (bundle, graph) = match ScheduleBundle::load(&args.bundle_path) {
+        Ok(loaded) => loaded,
+        Err(msg) => return fail(msg),
     };
-    let graph = match TrainGraph::new(bundle.graph.clone()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("ooo-lint: invalid graph configuration: {e}");
-            return ExitCode::from(2);
-        }
+    let targets = match bundle.flat_entries(args.schedule.as_deref()) {
+        Ok(t) => t,
+        Err(msg) => return fail(msg),
     };
-
-    // Flat orders become single-lane schedules; multi-lane schedules are
-    // checked as-is.
-    let mut targets: Vec<(String, Schedule)> = Vec::new();
-    for (name, order) in &bundle.orders {
-        targets.push((name.clone(), Schedule::single_lane(name, order.clone())));
-    }
-    for (name, schedule) in &bundle.schedules {
-        targets.push((name.clone(), schedule.clone()));
-    }
-    if let Some(wanted) = &args.schedule {
-        targets.retain(|(name, _)| name == wanted);
-        if targets.is_empty() {
-            eprintln!("ooo-lint: no order or schedule named {wanted:?} in the bundle");
-            return ExitCode::from(2);
-        }
-    }
 
     let verifier = Verifier::new(&graph).with_config(VerifyConfig {
         require_complete: !args.partial,
@@ -128,8 +100,8 @@ fn main() -> ExitCode {
     let mut any_error = false;
     let mut json_docs: Vec<String> = Vec::new();
     let mut human = String::new();
-    for (name, schedule) in &targets {
-        let report = verifier.verify(schedule);
+    for (name, schedule) in targets {
+        let report = verifier.verify(&schedule);
         any_error |= report.has_errors();
         if args.json || args.out.is_some() {
             json_docs.push(diagnostics_to_json(name, &report.to_records()));
@@ -146,8 +118,7 @@ fn main() -> ExitCode {
     };
     if let Some(path) = &args.out {
         if let Err(e) = std::fs::write(path, json_output() + "\n") {
-            eprintln!("ooo-lint: cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return fail(format!("cannot write {path}: {e}"));
         }
     }
     if args.json {

@@ -17,14 +17,15 @@
 //! in-order schedule. Exit status: `0` when no OM rule fired, `1` when
 //! any finding (error or advice) fired, `2` on usage or I/O problems.
 
-use ooo_core::cost::{CostModel, LayerCost, TableCost, UnitCost};
+use ooo_core::cost::{CostModel, UnitCost};
 use ooo_core::datapar::CommPolicy;
 use ooo_core::export::ScheduleBundle;
 use ooo_core::json::{obj, Value};
-use ooo_core::reverse_k::reverse_first_k;
+use ooo_core::reverse_k::UniformProblem;
 use ooo_core::schedule::Schedule;
 use ooo_core::{SimTime, TrainGraph};
 use ooo_verify::mem::{buffer_name, check_schedule, MemAnalysis, MemCheckOptions};
+use std::borrow::Cow;
 use std::process::ExitCode;
 
 enum Mode {
@@ -180,35 +181,11 @@ fn analysis_to_human(name: &str, analysis: &MemAnalysis) -> String {
     s
 }
 
-/// The named analysis targets of one run: flat orders become
-/// single-lane schedules, multi-lane schedules are checked as-is.
-fn bundle_targets(
-    bundle: &ScheduleBundle,
-    wanted: Option<&str>,
-) -> Result<Vec<(String, Schedule)>, String> {
-    let mut targets: Vec<(String, Schedule)> = Vec::new();
-    for (name, order) in &bundle.orders {
-        targets.push((name.clone(), Schedule::single_lane(name, order.clone())));
-    }
-    for (name, schedule) in &bundle.schedules {
-        targets.push((name.clone(), schedule.clone()));
-    }
-    if let Some(wanted) = wanted {
-        targets.retain(|(name, _)| name == wanted);
-        if targets.is_empty() {
-            return Err(format!(
-                "no order or schedule named {wanted:?} in the bundle"
-            ));
-        }
-    }
-    Ok(targets)
-}
-
-fn run<C: CostModel>(
+fn run<'a, C: CostModel>(
     args: &Args,
     graph: &TrainGraph,
     cost: &C,
-    targets: &[(String, Schedule)],
+    targets: impl Iterator<Item = (&'a str, Cow<'a, Schedule>)>,
 ) -> ExitCode {
     let opts = MemCheckOptions {
         budget: args.budget,
@@ -219,7 +196,7 @@ fn run<C: CostModel>(
     let mut json_docs: Vec<String> = Vec::new();
     let mut human = String::new();
     for (name, schedule) in targets {
-        let analysis = match check_schedule(graph, schedule, cost, &opts) {
+        let analysis = match check_schedule(graph, &schedule, cost, &opts) {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("ooo-memcheck: cannot analyze {name:?}: {e}");
@@ -268,70 +245,40 @@ fn main() -> ExitCode {
         }
     };
 
+    let fail = |msg: String| {
+        eprintln!("ooo-memcheck: {msg}");
+        ExitCode::from(2)
+    };
     match &args.mode {
         Mode::Bundle { path } => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
             // Lenient parse: a bundle whose schedule is broken must still
             // load so the lifetime rules can attribute what is wrong.
-            let bundle = match ScheduleBundle::from_json_lenient(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: cannot parse {path}: {e}");
-                    return ExitCode::from(2);
-                }
+            let (bundle, graph) = match ScheduleBundle::load(path) {
+                Ok(loaded) => loaded,
+                Err(msg) => return fail(msg),
             };
-            let graph = match TrainGraph::new(bundle.graph.clone()) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: invalid graph configuration: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let targets = match bundle_targets(&bundle, args.schedule.as_deref()) {
+            let targets = match bundle.flat_entries(args.schedule.as_deref()) {
                 Ok(t) => t,
-                Err(msg) => {
-                    eprintln!("ooo-memcheck: {msg}");
-                    return ExitCode::from(2);
-                }
+                Err(msg) => return fail(msg),
             };
-            run(&args, &graph, &UnitCost, &targets)
+            run(&args, &graph, &UnitCost, targets)
         }
         Mode::Order { layers, k, sync } => {
-            let graph = TrainGraph::data_parallel(*layers);
-            let cost = TableCost::uniform(
-                *layers,
-                LayerCost {
-                    sync_weight: *sync,
-                    ..LayerCost::default()
-                },
-            );
-            let order = match reverse_first_k(&graph, *k, None::<(u64, &TableCost)>) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: cannot build reverse-first-{k}: {e}");
-                    return ExitCode::from(2);
-                }
+            let p = match UniformProblem::new(*layers, *k, *sync) {
+                Ok(p) => p,
+                Err(e) => return fail(format!("cannot build reverse-first-{k}: {e}")),
             };
             let realized = match ooo_verify::predict::datapar_schedule(
-                &graph,
-                &order,
-                &cost,
+                &p.graph,
+                &p.order,
+                &p.cost,
                 CommPolicy::PriorityByLayer,
             ) {
                 Ok(s) => s,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: cannot realize the order: {e}");
-                    return ExitCode::from(2);
-                }
+                Err(e) => return fail(format!("cannot realize the order: {e}")),
             };
-            let name = format!("reverse-first-k(l={layers}, k={k})");
-            run(&args, &graph, &cost, &[(name, realized)])
+            let target = (p.name.as_str(), Cow::Owned(realized));
+            run(&args, &p.graph, &p.cost, std::iter::once(target))
         }
     }
 }

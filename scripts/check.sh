@@ -165,7 +165,18 @@ for s in conventional fastforward reversek layerpipe twobp gradinterleaved; do
     > /dev/null || rc=$?
   [ "$rc" -le 1 ] || { echo "ooo-advise: strategy $s drew exit $rc"; exit 1; }
 done
-rm -f /tmp/ooo-zoo-bundle.json
+
+echo "==> zoo bundle through ooo-tune and ooo-cert (exit <= 1, byte-determinism)"
+for run in "ooo-tune bundle /tmp/ooo-zoo-bundle.json --restarts 0" \
+           "ooo-cert bundle /tmp/ooo-zoo-bundle.json --budget 2000"; do
+  for pass in a b; do
+    rc=0; ./target/debug/$run --json > /tmp/ooo-zoo-$pass.json || rc=$?
+    [ "$rc" -le 1 ] || { echo "$run: exit $rc"; exit 1; }
+  done
+  cmp /tmp/ooo-zoo-a.json /tmp/ooo-zoo-b.json \
+    || { echo "$run: two runs produced different bytes"; exit 1; }
+done
+rm -f /tmp/ooo-zoo-bundle.json /tmp/ooo-zoo-a.json /tmp/ooo-zoo-b.json
 
 echo "==> ooo-tune 1000-stage smoke (windowed search at scale)"
 cargo build -q --release -p ooo-tune --bin ooo-tune
