@@ -6,7 +6,7 @@
 //! factor, crossover locations) are the reproduction targets.
 
 use crate::FigureReport;
-use ooo_cluster::ablation::{modulo_group_sweep, straggler_network, sub_order_ablation};
+use ooo_cluster::ablation::{k_sweep, modulo_group_sweep, straggler_network, sub_order_ablation};
 use ooo_cluster::analysis::{region_anatomy, sync_budget};
 use ooo_cluster::datapar::{self, CommSystem};
 use ooo_cluster::hybrid::{run_combined, run_combined_best_k};
@@ -902,16 +902,18 @@ pub fn ablations() -> FigureReport {
 
 /// Helper for the k-sweep rows.
 fn k_sweep_rows(ks: &[usize], gpu: &GpuProfile) -> Vec<String> {
-    let m = zoo::resnet(50);
-    let topo = ClusterTopology::pub_a();
-    ks.iter()
-        .map(|&k| {
-            let t = ooo_cluster::datapar::run_with_fixed_k(&m, 128, gpu, &topo, 16, k)
-                .map(|r| r.throughput)
-                .unwrap_or(0.0);
-            format!("k={k}: {t:.0}")
-        })
-        .collect()
+    k_sweep(
+        &zoo::resnet(50),
+        128,
+        gpu,
+        &ClusterTopology::pub_a(),
+        16,
+        ks,
+    )
+    .expect("k sweep")
+    .into_iter()
+    .map(|(k, t)| format!("k={k}: {t:.0}"))
+    .collect()
 }
 
 /// Section 8.2 discussion: R2 vs R5 anatomy.
@@ -1015,9 +1017,9 @@ pub fn tracemetrics() -> FigureReport {
             }
         }
     };
-    let (_, tl) = single::run_traced(&zoo::resnet(50), 64, &gpu, Engine::OooXla).expect("single");
-    add("ResNet-50 b64 OOO-XLA", &tl);
-    let (_, tl) = datapar::run_traced(
+    let r = single::run(&zoo::resnet(50), 64, &gpu, Engine::OooXla).expect("single");
+    add("ResNet-50 b64 OOO-XLA", &r.trace.to_timeline("single"));
+    let r = datapar::run(
         &zoo::resnet(50),
         128,
         &gpu,
@@ -1026,7 +1028,10 @@ pub fn tracemetrics() -> FigureReport {
         CommSystem::OooBytePS,
     )
     .expect("datapar");
-    add("ResNet-50 b128 OOO-BytePS x16", &tl);
+    add(
+        "ResNet-50 b128 OOO-BytePS x16",
+        &r.trace.to_timeline("datapar"),
+    );
     for strategy in [Strategy::GPipe, Strategy::OooPipe2] {
         let r = cpipe::run(
             &zoo::bert(24, 128),

@@ -154,8 +154,11 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
                 "ooo-xla" => single::Engine::OooXla,
                 other => return Err(format!("unknown engine: {other}")),
             };
-            single::run_traced(&model, args.batch, &gpu, engine)
-                .map(|(_, tl)| tl)
+            single::run(&model, args.batch, &gpu, engine)
+                .map(|r| {
+                    r.trace
+                        .to_timeline(&format!("single/{}/{}", engine.name(), model.name))
+                })
                 .map_err(|e| format!("single-GPU simulation failed: {e}"))
         }
         "datapar" => {
@@ -165,7 +168,7 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
                 "ooo-byteps" => datapar::CommSystem::OooBytePS,
                 other => return Err(format!("unknown comm system: {other}")),
             };
-            datapar::run_traced(
+            datapar::run(
                 &model,
                 args.batch,
                 &gpu,
@@ -173,7 +176,10 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
                 args.gpus,
                 comm,
             )
-            .map(|(_, tl)| tl)
+            .map(|r| {
+                r.trace
+                    .to_timeline(&format!("datapar/{}/{}gpus", comm.name(), args.gpus))
+            })
             .map_err(|e| format!("data-parallel simulation failed: {e}"))
         }
         "pipeline" => {
@@ -202,7 +208,7 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
             })
             .map_err(|e| format!("pipeline simulation failed: {e}"))
         }
-        "hybrid" => hybrid::run_combined_traced(
+        "hybrid" => hybrid::run_combined(
             &model,
             args.batch,
             args.micro,
@@ -214,7 +220,7 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
             args.k,
             2,
         )
-        .map(|(_, tl)| tl)
+        .map(|r| r.to_timeline(&format!("hybrid/{}pipe x{}", args.devices, args.replicas)))
         .map_err(|e| format!("hybrid simulation failed: {e}")),
         other => Err(format!(
             "unknown system: {other:?} (want single|datapar|pipeline|hybrid)"

@@ -15,7 +15,7 @@
 //! - [`CommSystem::OooBytePS`] — BytePS plus reverse first-k scheduling
 //!   with the concave `k`-search.
 
-use crate::{Result, SimTime};
+use crate::{Error, Result, SimTime};
 use ooo_core::cost::{CostModel, TableCost};
 use ooo_core::graph::TrainGraph;
 use ooo_core::op::{LayerId, Op};
@@ -28,7 +28,7 @@ use ooo_netsim::collective::{
 };
 use ooo_netsim::commsim::{
     finish_of, intervals_to_lane, simulate_queue_faulty, CommRequest, LinkFault, LossHandling,
-    Policy,
+    Policy, ServiceInterval,
 };
 use ooo_netsim::link::LinkSpec;
 use ooo_netsim::topology::ClusterTopology;
@@ -67,6 +67,38 @@ pub struct DataParReport {
     /// Iteration time in excess of pure compute — the exposed
     /// communication the paper's Figure 4 minimizes.
     pub exposed_sync_ns: SimTime,
+    /// The simulated iteration at the chosen `k`.
+    pub trace: IterationTrace,
+}
+
+/// What one simulated iteration did: the compute lane's spans and the
+/// service intervals of the push and pull queues.
+#[derive(Debug, Clone, Default)]
+pub struct IterationTrace {
+    /// Backward ops, explicit stall spans where the forward pass waits
+    /// on parameters, and the sync-gated forward ops.
+    compute: Vec<Span>,
+    /// Gradient pushes on the uplink.
+    push: Vec<ServiceInterval>,
+    /// Parameter pulls on the downlink.
+    pull: Vec<ServiceInterval>,
+}
+
+impl IterationTrace {
+    /// Renders the iteration as a [`Timeline`]: a `compute` lane plus
+    /// `uplink`/`downlink` lanes showing per-transfer link occupancy.
+    pub fn to_timeline(&self, name: &str) -> Timeline {
+        let mut tl = Timeline::new(name);
+        tl.lane_mut("compute").spans = self.compute.clone();
+        tl.lanes.push(intervals_to_lane("uplink", &self.push, |i| {
+            format!("push S[dW{i}]")
+        }));
+        tl.lanes
+            .push(intervals_to_lane("downlink", &self.pull, |i| {
+                format!("pull S[dW{i}]")
+            }));
+        tl
+    }
 }
 
 /// Chunk size of the priority transmission queue (ByteScheduler-style
@@ -79,148 +111,6 @@ fn effective_link(topology: &ClusterTopology, gpus: usize, overhead_ns: SimTime)
         bytes_per_sec: worker_bottleneck_bytes_per_sec(topology, gpus),
         latency_ns: overhead_ns,
     }
-}
-
-/// Simulates one iteration with a fixed backward order. Returns the
-/// iteration time.
-///
-/// Parameter-server traffic is full duplex: gradients are *pushed* on the
-/// uplink queue and updated parameters *pulled* on the downlink queue;
-/// a layer's pull becomes ready when its push (and the server's
-/// aggregation) completes. Both queues are chunk-preemptive priority
-/// queues keyed by layer index.
-#[allow(clippy::too_many_arguments)]
-fn simulate_iteration(
-    cost: &TableCost,
-    wire_bytes: &[u64],
-    order: &[Op],
-    link: &LinkSpec,
-    policy: Policy,
-    agg_latency_ns: SimTime,
-    fault: &LinkFault,
-    loss: LossHandling,
-) -> SimTime {
-    let l = cost.layers();
-    // 1. Backward compute, sequential in the given order.
-    let mut t: SimTime = 0;
-    let mut dw_finish = vec![0u64; l + 1];
-    for &op in order {
-        t += cost.duration(op);
-        if let Op::WeightGrad(LayerId(i)) = op {
-            dw_finish[i] = t;
-        }
-    }
-    let backward_end = t;
-    // 2. Push queue on the uplink.
-    let push: Vec<CommRequest> = (1..=l)
-        .map(|i| CommRequest {
-            id: i,
-            bytes: wire_bytes[i - 1],
-            ready_ns: dw_finish[i],
-            priority: i as i64,
-        })
-        .collect();
-    let (push_done, _) = simulate_queue_faulty(link, CHUNK_BYTES, policy, &push, fault, loss);
-    // 3. Pull queue on the downlink, gated per layer on the push.
-    let pull: Vec<CommRequest> = (1..=l)
-        .map(|i| CommRequest {
-            id: i,
-            bytes: wire_bytes[i - 1],
-            ready_ns: finish_of(&push_done, i).unwrap_or(0),
-            priority: i as i64,
-        })
-        .collect();
-    let (pull_done, _) = simulate_queue_faulty(link, CHUNK_BYTES, policy, &pull, fault, loss);
-    // 4. Forward pass gated per layer on its pulled parameters. Each
-    //    synchronization additionally carries the aggregation latency
-    //    tail (end-to-end, pipelined across tensors — it delays
-    //    completion but does not occupy the wire).
-    let mut t = backward_end;
-    for i in 1..=l {
-        let sync = finish_of(&pull_done, i)
-            .unwrap_or(0)
-            .saturating_add(agg_latency_ns);
-        t = t.max(sync) + cost.duration(Op::Forward(LayerId(i)));
-    }
-    t
-}
-
-/// [`simulate_iteration`] with full tracing: rebuilds the same iteration
-/// and renders it as a [`Timeline`] with a `compute` lane (backward ops,
-/// sync-gated forward ops, explicit stall spans where the forward pass
-/// waits on parameters) and `uplink`/`downlink` lanes carrying the push
-/// and pull queues' service intervals.
-#[allow(clippy::too_many_arguments)]
-fn simulate_iteration_traced(
-    cost: &TableCost,
-    wire_bytes: &[u64],
-    order: &[Op],
-    link: &LinkSpec,
-    policy: Policy,
-    agg_latency_ns: SimTime,
-    fault: &LinkFault,
-    loss: LossHandling,
-    name: &str,
-) -> (SimTime, Timeline) {
-    let l = cost.layers();
-    let mut tl = Timeline::new(name);
-    let mut compute: Vec<Span> = Vec::new();
-    let mut t: SimTime = 0;
-    let mut dw_finish = vec![0u64; l + 1];
-    for &op in order {
-        let d = cost.duration(op);
-        let mut span = Span::new(op.to_string(), "compute", t, t + d);
-        if let Some(layer) = op.layer() {
-            span.args.push(("layer".into(), layer.0 as f64));
-        }
-        compute.push(span);
-        t += d;
-        if let Op::WeightGrad(LayerId(i)) = op {
-            dw_finish[i] = t;
-        }
-    }
-    let backward_end = t;
-    let push: Vec<CommRequest> = (1..=l)
-        .map(|i| CommRequest {
-            id: i,
-            bytes: wire_bytes[i - 1],
-            ready_ns: dw_finish[i],
-            priority: i as i64,
-        })
-        .collect();
-    let (push_done, push_iv) = simulate_queue_faulty(link, CHUNK_BYTES, policy, &push, fault, loss);
-    let pull: Vec<CommRequest> = (1..=l)
-        .map(|i| CommRequest {
-            id: i,
-            bytes: wire_bytes[i - 1],
-            ready_ns: finish_of(&push_done, i).unwrap_or(0),
-            priority: i as i64,
-        })
-        .collect();
-    let (pull_done, pull_iv) = simulate_queue_faulty(link, CHUNK_BYTES, policy, &pull, fault, loss);
-    let mut t = backward_end;
-    for i in 1..=l {
-        let sync = finish_of(&pull_done, i)
-            .unwrap_or(0)
-            .saturating_add(agg_latency_ns);
-        if sync > t {
-            compute.push(Span::new(format!("wait S[dW{i}]"), CAT_STALL, t, sync));
-            t = sync;
-        }
-        let d = cost.duration(Op::Forward(LayerId(i)));
-        let mut span = Span::new(Op::Forward(LayerId(i)).to_string(), "compute", t, t + d);
-        span.args.push(("layer".into(), i as f64));
-        compute.push(span);
-        t += d;
-    }
-    tl.lane_mut("compute").spans = compute;
-    tl.lanes.push(intervals_to_lane("uplink", &push_iv, |i| {
-        format!("push S[dW{i}]")
-    }));
-    tl.lanes.push(intervals_to_lane("downlink", &pull_iv, |i| {
-        format!("pull S[dW{i}]")
-    }));
-    (t, tl)
 }
 
 /// Per-tensor aggregation-latency tail: the time between a worker's push
@@ -241,9 +131,9 @@ fn aggregation_latency_ns(topology: &ClusterTopology, gpus: usize) -> SimTime {
     }
 }
 
-/// The shared per-configuration state of [`run`] and [`run_traced`]:
-/// cost table, dependency graph, wire volumes, queue discipline, link
-/// and aggregation tail.
+/// One configuration under one fault environment: cost table,
+/// dependency graph, wire volumes, queue discipline, link, aggregation
+/// tail and the link faults.
 struct Setup {
     cost: TableCost,
     graph: TrainGraph,
@@ -251,60 +141,211 @@ struct Setup {
     policy: Policy,
     link: LinkSpec,
     tau: SimTime,
+    fault: LinkFault,
+    loss: LossHandling,
 }
 
-fn setup(
-    model: &ModelSpec,
-    per_gpu_batch: usize,
-    gpu: &GpuProfile,
-    topology: &ClusterTopology,
-    gpus: usize,
-    system: CommSystem,
-) -> Setup {
-    let cost = to_table_cost(model, per_gpu_batch, gpu);
-    let l = cost.layers();
-    let graph = TrainGraph::data_parallel(l);
-    let n = gpus.max(1) as f64;
-    // Per-direction wire volume per worker. Every GPU pushes its own
-    // gradients and pulls the updated parameters (the push and pull are
-    // separate queues in `simulate_iteration`); Horovod's ring moves
-    // 2(n-1)/n of the bytes each way.
-    let wire_bytes: Vec<u64> = model
-        .layers
-        .iter()
-        .map(|layer| match system {
-            _ if gpus <= 1 => 0,
-            CommSystem::Horovod => ((n - 1.0) / n * layer.param_bytes as f64) as u64,
-            _ => layer.param_bytes,
-        })
-        .collect();
-    let (policy, overhead) = match system {
-        CommSystem::Horovod => (Policy::Fifo, HOROVOD_TENSOR_OVERHEAD_NS),
-        CommSystem::BytePS | CommSystem::OooBytePS => (Policy::Priority, BYTEPS_TENSOR_OVERHEAD_NS),
-    };
-    let link = effective_link(topology, gpus, overhead);
-    let tau = aggregation_latency_ns(topology, gpus)
-        * match system {
-            // Horovod's negotiate-then-allreduce protocol roughly doubles
-            // the tail.
-            CommSystem::Horovod => 2,
-            _ => 1,
+impl Setup {
+    fn new(
+        model: &ModelSpec,
+        per_gpu_batch: usize,
+        gpu: &GpuProfile,
+        topology: &ClusterTopology,
+        gpus: usize,
+        system: CommSystem,
+        env: &FaultEnv,
+    ) -> Result<Setup> {
+        if gpus == 0 {
+            return Err(Error::InvalidConfig("gpus must be at least 1".into()));
+        }
+        if per_gpu_batch == 0 {
+            return Err(Error::InvalidConfig(
+                "per-GPU batch must be at least 1".into(),
+            ));
+        }
+        let cost = scaled_cost(to_table_cost(model, per_gpu_batch, gpu), env.compute_factor);
+        let graph = TrainGraph::data_parallel(cost.layers());
+        let n = gpus as f64;
+        // Per-direction wire volume per worker. Every GPU pushes its own
+        // gradients and pulls the updated parameters (the push and pull
+        // are separate queues in `simulate`); Horovod's ring moves
+        // 2(n-1)/n of the bytes each way.
+        let wire_bytes: Vec<u64> = model
+            .layers
+            .iter()
+            .map(|layer| match system {
+                _ if gpus <= 1 => 0,
+                CommSystem::Horovod => ((n - 1.0) / n * layer.param_bytes as f64) as u64,
+                _ => layer.param_bytes,
+            })
+            .collect();
+        let (policy, overhead) = match system {
+            CommSystem::Horovod => (Policy::Fifo, HOROVOD_TENSOR_OVERHEAD_NS),
+            CommSystem::BytePS | CommSystem::OooBytePS => {
+                (Policy::Priority, BYTEPS_TENSOR_OVERHEAD_NS)
+            }
         };
-    Setup {
-        cost,
-        graph,
-        wire_bytes,
-        policy,
-        link,
-        tau,
+        let mut link = effective_link(topology, gpus, overhead);
+        if env.degrade_factor > 1.0 && env.degrade_factor.is_finite() {
+            link = link.degraded(env.degrade_factor);
+        }
+        let tau = aggregation_latency_ns(topology, gpus)
+            * match system {
+                // Horovod's negotiate-then-allreduce protocol roughly
+                // doubles the tail.
+                CommSystem::Horovod => 2,
+                _ => 1,
+            };
+        Ok(Setup {
+            cost,
+            graph,
+            wire_bytes,
+            policy,
+            link,
+            tau,
+            fault: env.link_fault.clone(),
+            loss: env.loss,
+        })
+    }
+
+    /// Simulates one iteration with a fixed backward order and returns
+    /// its time, recording it into `trace` when one is given.
+    ///
+    /// Parameter-server traffic is full duplex: gradients are *pushed* on
+    /// the uplink queue and updated parameters *pulled* on the downlink
+    /// queue; a layer's pull becomes ready when its push (and the
+    /// server's aggregation) completes. Both queues are chunk-preemptive
+    /// priority queues keyed by layer index.
+    fn simulate(&self, order: &[Op], mut trace: Option<&mut IterationTrace>) -> SimTime {
+        let l = self.cost.layers();
+        // Spans are built only when recording.
+        let mut compute = |span: &dyn Fn() -> Span| {
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.compute.push(span());
+            }
+        };
+        let op_span = |op: Op, t: SimTime, d: SimTime| {
+            let mut span = Span::new(op.to_string(), "compute", t, t + d);
+            if let Some(layer) = op.layer() {
+                span.args.push(("layer".into(), layer.0 as f64));
+            }
+            span
+        };
+        // 1. Backward compute, sequential in the given order.
+        let mut t: SimTime = 0;
+        let mut dw_finish = vec![0u64; l + 1];
+        for &op in order {
+            let d = self.cost.duration(op);
+            compute(&|| op_span(op, t, d));
+            t += d;
+            if let Op::WeightGrad(LayerId(i)) = op {
+                dw_finish[i] = t;
+            }
+        }
+        let backward_end = t;
+        let queue = |ready: &dyn Fn(usize) -> SimTime| {
+            let requests: Vec<CommRequest> = (1..=l)
+                .map(|i| CommRequest {
+                    id: i,
+                    bytes: self.wire_bytes[i - 1],
+                    ready_ns: ready(i),
+                    priority: i as i64,
+                })
+                .collect();
+            simulate_queue_faulty(
+                &self.link,
+                CHUNK_BYTES,
+                self.policy,
+                &requests,
+                &self.fault,
+                self.loss,
+            )
+        };
+        // 2. Push queue on the uplink.
+        let (push_done, push_iv) = queue(&|i| dw_finish[i]);
+        // 3. Pull queue on the downlink, gated per layer on the push.
+        let (pull_done, pull_iv) = queue(&|i| finish_of(&push_done, i).unwrap_or(0));
+        // 4. Forward pass gated per layer on its pulled parameters. Each
+        //    synchronization additionally carries the aggregation latency
+        //    tail (end-to-end, pipelined across tensors — it delays
+        //    completion but does not occupy the wire).
+        let mut t = backward_end;
+        for i in 1..=l {
+            let sync = finish_of(&pull_done, i)
+                .unwrap_or(0)
+                .saturating_add(self.tau);
+            if sync > t {
+                compute(&|| Span::new(format!("wait S[dW{i}]"), CAT_STALL, t, sync));
+                t = sync;
+            }
+            let op = Op::Forward(LayerId(i));
+            let d = self.cost.duration(op);
+            compute(&|| op_span(op, t, d));
+            t += d;
+        }
+        if let Some(tr) = trace {
+            tr.push = push_iv;
+            tr.pull = pull_iv;
+        }
+        t
     }
 }
 
-/// Runs one data-parallel configuration.
+/// The one run core: picks `k` (baselines always use 0; OOO-BytePS uses
+/// `fixed_k` clamped to the layer count, or the concave search), then
+/// records the final iteration at that `k`.
+fn run_core(
+    s: &Setup,
+    samples: usize,
+    system: CommSystem,
+    fixed_k: Option<usize>,
+) -> Result<DataParReport> {
+    let l = s.cost.layers();
+    let eval = |k: usize, trace: Option<&mut IterationTrace>| -> Result<SimTime> {
+        let order = reverse_first_k::<TableCost>(&s.graph, k, None)?;
+        // Debug builds re-check the backward order with the static
+        // analyzers (partial: the order covers only the backward pass).
+        crate::checks::schedule_lazy(
+            || {
+                (
+                    s.graph.clone(),
+                    ooo_core::Schedule::single_lane("gpu", order.clone()),
+                )
+            },
+            false,
+            "reverse first-k order",
+        );
+        Ok(s.simulate(&order, trace))
+    };
+    let k = match (system, fixed_k) {
+        (CommSystem::Horovod | CommSystem::BytePS, _) => 0,
+        (CommSystem::OooBytePS, Some(k)) => k.min(l),
+        (CommSystem::OooBytePS, None) => search_optimal_k(l, |k| {
+            eval(k, None)
+                .map(|t| 1e9 / t.max(1) as f64)
+                .unwrap_or(f64::NEG_INFINITY)
+        }),
+    };
+    let mut trace = IterationTrace::default();
+    let iter_ns = eval(k, Some(&mut trace))?;
+    let pure_compute: SimTime = s.cost.total_backward() + s.cost.total_forward();
+    Ok(DataParReport {
+        iter_ns,
+        throughput: samples as f64 * 1e9 / iter_ns.max(1) as f64,
+        k,
+        exposed_sync_ns: iter_ns.saturating_sub(pure_compute),
+        trace,
+    })
+}
+
+/// Runs one data-parallel configuration. The report's
+/// [`trace`](DataParReport::trace) holds the steady-state iteration at
+/// the chosen `k`.
 ///
 /// # Errors
 ///
-/// Propagates scheduling errors (invalid `k`, malformed orders).
+/// Returns [`Error::InvalidConfig`] for zero GPUs or a zero batch and
+/// propagates scheduling errors (invalid `k`, malformed orders).
 pub fn run(
     model: &ModelSpec,
     per_gpu_batch: usize,
@@ -313,92 +354,16 @@ pub fn run(
     gpus: usize,
     system: CommSystem,
 ) -> Result<DataParReport> {
-    let s = setup(model, per_gpu_batch, gpu, topology, gpus, system);
-    let l = s.cost.layers();
-    let eval = |k: usize| -> Result<SimTime> {
-        let order = reverse_first_k::<TableCost>(&s.graph, k, None)?;
-        // Debug builds re-check the backward order with the static
-        // analyzer (partial: the order covers only the backward pass).
-        crate::checks::order_lazy(
-            || (s.graph.clone(), order.clone()),
-            false,
-            "reverse first-k order",
-        );
-        crate::checks::advise_lazy(
-            || {
-                (
-                    s.graph.clone(),
-                    ooo_core::Schedule::single_lane("gpu", order.clone()),
-                )
-            },
-            "reverse first-k order",
-        );
-        Ok(simulate_iteration(
-            &s.cost,
-            &s.wire_bytes,
-            &order,
-            &s.link,
-            s.policy,
-            s.tau,
-            &LinkFault::none(),
-            LossHandling::RestartTensor,
-        ))
-    };
-
-    let (k, iter_ns) = match system {
-        CommSystem::Horovod | CommSystem::BytePS => (0, eval(0)?),
-        CommSystem::OooBytePS => {
-            let best_k = search_optimal_k(l, |k| {
-                eval(k)
-                    .map(|t| 1e9 / t.max(1) as f64)
-                    .unwrap_or(f64::NEG_INFINITY)
-            });
-            (best_k, eval(best_k)?)
-        }
-    };
-
-    let pure_compute: SimTime = s.cost.total_backward() + s.cost.total_forward();
-    Ok(DataParReport {
-        iter_ns,
-        throughput: (per_gpu_batch * gpus) as f64 * 1e9 / iter_ns.max(1) as f64,
-        k,
-        exposed_sync_ns: iter_ns.saturating_sub(pure_compute),
-    })
-}
-
-/// Like [`run`], additionally returning the traced [`Timeline`] of one
-/// steady-state iteration at the chosen `k`: a `compute` lane with
-/// explicit stall spans where the forward pass waits on parameter
-/// synchronization, plus `uplink`/`downlink` lanes showing per-transfer
-/// link occupancy.
-///
-/// # Errors
-///
-/// Propagates scheduling errors (invalid `k`, malformed orders).
-pub fn run_traced(
-    model: &ModelSpec,
-    per_gpu_batch: usize,
-    gpu: &GpuProfile,
-    topology: &ClusterTopology,
-    gpus: usize,
-    system: CommSystem,
-) -> Result<(DataParReport, Timeline)> {
-    let report = run(model, per_gpu_batch, gpu, topology, gpus, system)?;
-    let s = setup(model, per_gpu_batch, gpu, topology, gpus, system);
-    let order = reverse_first_k::<TableCost>(&s.graph, report.k, None)?;
-    let name = format!("datapar/{}/{}gpus", system.name(), gpus);
-    let (_, timeline) = simulate_iteration_traced(
-        &s.cost,
-        &s.wire_bytes,
-        &order,
-        &s.link,
-        s.policy,
-        s.tau,
-        &LinkFault::none(),
-        LossHandling::RestartTensor,
-        &name,
-    );
-    Ok((report, timeline))
+    let s = Setup::new(
+        model,
+        per_gpu_batch,
+        gpu,
+        topology,
+        gpus,
+        system,
+        &FaultEnv::none(),
+    )?;
+    run_core(&s, per_gpu_batch * gpus, system, None)
 }
 
 /// A deterministic fault environment for one data-parallel run: a
@@ -438,15 +403,14 @@ impl FaultEnv {
     }
 }
 
-/// A copy of `cost` with every compute duration stretched by `factor`
-/// (straggler injection). Factors ≤ 1 return the table unchanged, so a
-/// no-op environment reproduces the fault-free arithmetic exactly.
-fn scaled_cost(cost: &TableCost, factor: f64) -> TableCost {
+/// `cost` with every compute duration stretched by `factor` (straggler
+/// injection). Factors ≤ 1 return the table unchanged, so a no-op
+/// environment reproduces the fault-free arithmetic exactly.
+fn scaled_cost(mut c: TableCost, factor: f64) -> TableCost {
     if factor <= 1.0 || !factor.is_finite() {
-        return cost.clone();
+        return c;
     }
     let scale = |t: SimTime| (t as f64 * factor) as SimTime;
-    let mut c = cost.clone();
     c.loss = scale(c.loss);
     for i in 1..=c.layers() {
         let lc = c.layer_mut(LayerId(i));
@@ -459,19 +423,20 @@ fn scaled_cost(cost: &TableCost, factor: f64) -> TableCost {
 }
 
 /// Runs one data-parallel configuration under a [`FaultEnv`], returning
-/// the report and the traced timeline of the faulted iteration.
+/// the report and the timeline of the faulted iteration.
 ///
-/// `fixed_k` pins the reverse first-k depth (e.g. the stale `k` tuned on
-/// healthy hardware — the no-recovery stance); `None` re-runs
-/// `search_optimal_k` against the *faulted* costs, which is the
-/// re-tuning recovery policy. Baseline systems always use `k = 0`.
+/// `fixed_k` pins the reverse first-k depth of OOO-BytePS (e.g. the
+/// stale `k` tuned on healthy hardware — the no-recovery stance, or one
+/// point of a `k` sweep); `None` re-runs `search_optimal_k` against the
+/// *faulted* costs, which is the re-tuning recovery policy. Baseline
+/// systems always use `k = 0`.
 ///
-/// With `env.is_noop()` and `fixed_k: None` this reproduces
-/// [`run_traced`] exactly.
+/// With `env.is_noop()` and `fixed_k: None` this reproduces [`run`]
+/// exactly.
 ///
 /// # Errors
 ///
-/// Propagates scheduling errors (invalid `k`, malformed orders).
+/// As [`run`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_fault_injected(
     model: &ModelSpec,
@@ -483,208 +448,11 @@ pub fn run_fault_injected(
     env: &FaultEnv,
     fixed_k: Option<usize>,
 ) -> Result<(DataParReport, Timeline)> {
-    let mut s = setup(model, per_gpu_batch, gpu, topology, gpus, system);
-    s.cost = scaled_cost(&s.cost, env.compute_factor);
-    if env.degrade_factor > 1.0 && env.degrade_factor.is_finite() {
-        s.link = s.link.degraded(env.degrade_factor);
-    }
-    let l = s.cost.layers();
-    let eval = |k: usize| -> Result<SimTime> {
-        let order = reverse_first_k::<TableCost>(&s.graph, k, None)?;
-        crate::checks::order_lazy(
-            || (s.graph.clone(), order.clone()),
-            false,
-            "reverse first-k order (fault-injected)",
-        );
-        crate::checks::advise_lazy(
-            || {
-                (
-                    s.graph.clone(),
-                    ooo_core::Schedule::single_lane("gpu", order.clone()),
-                )
-            },
-            "reverse first-k order (fault-injected)",
-        );
-        Ok(simulate_iteration(
-            &s.cost,
-            &s.wire_bytes,
-            &order,
-            &s.link,
-            s.policy,
-            s.tau,
-            &env.link_fault,
-            env.loss,
-        ))
-    };
-    let k = match (system, fixed_k) {
-        (_, Some(k)) => k.min(l),
-        (CommSystem::Horovod | CommSystem::BytePS, None) => 0,
-        (CommSystem::OooBytePS, None) => search_optimal_k(l, |k| {
-            eval(k)
-                .map(|t| 1e9 / t.max(1) as f64)
-                .unwrap_or(f64::NEG_INFINITY)
-        }),
-    };
-    let iter_ns = eval(k)?;
-    let order = reverse_first_k::<TableCost>(&s.graph, k, None)?;
+    let s = Setup::new(model, per_gpu_batch, gpu, topology, gpus, system, env)?;
+    let report = run_core(&s, per_gpu_batch * gpus, system, fixed_k)?;
     let name = format!("datapar/{}/{}gpus/faulted", system.name(), gpus);
-    let (_, timeline) = simulate_iteration_traced(
-        &s.cost,
-        &s.wire_bytes,
-        &order,
-        &s.link,
-        s.policy,
-        s.tau,
-        &env.link_fault,
-        env.loss,
-        &name,
-    );
-    let pure_compute: SimTime = s.cost.total_backward() + s.cost.total_forward();
-    Ok((
-        DataParReport {
-            iter_ns,
-            throughput: (per_gpu_batch * gpus) as f64 * 1e9 / iter_ns.max(1) as f64,
-            k,
-            exposed_sync_ns: iter_ns.saturating_sub(pure_compute),
-        },
-        timeline,
-    ))
-}
-
-/// Like [`run`] with the OOO-BytePS system but a *fixed* `k` instead of
-/// the heuristic search — used by the k-sweep ablation.
-///
-/// # Errors
-///
-/// Propagates scheduling errors (including `k` beyond the layer count).
-pub fn run_with_fixed_k(
-    model: &ModelSpec,
-    per_gpu_batch: usize,
-    gpu: &GpuProfile,
-    topology: &ClusterTopology,
-    gpus: usize,
-    k: usize,
-) -> Result<DataParReport> {
-    let cost = to_table_cost(model, per_gpu_batch, gpu);
-    let l = cost.layers();
-    let graph = TrainGraph::data_parallel(l);
-    let k = k.min(l);
-    let wire_bytes: Vec<u64> = model
-        .layers
-        .iter()
-        .map(|layer| if gpus <= 1 { 0 } else { layer.param_bytes })
-        .collect();
-    let link = effective_link(topology, gpus, BYTEPS_TENSOR_OVERHEAD_NS);
-    let tau = aggregation_latency_ns(topology, gpus);
-    let order = reverse_first_k::<TableCost>(&graph, k, None)?;
-    crate::checks::order_lazy(
-        || (graph.clone(), order.clone()),
-        false,
-        "reverse first-k order (fixed k)",
-    );
-    crate::checks::advise_lazy(
-        || {
-            (
-                graph.clone(),
-                ooo_core::Schedule::single_lane("gpu", order.clone()),
-            )
-        },
-        "reverse first-k order (fixed k)",
-    );
-    let iter_ns = simulate_iteration(
-        &cost,
-        &wire_bytes,
-        &order,
-        &link,
-        Policy::Priority,
-        tau,
-        &LinkFault::none(),
-        LossHandling::RestartTensor,
-    );
-    let pure_compute: SimTime = cost.total_backward() + cost.total_forward();
-    Ok(DataParReport {
-        iter_ns,
-        throughput: (per_gpu_batch * gpus) as f64 * 1e9 / iter_ns.max(1) as f64,
-        k,
-        exposed_sync_ns: iter_ns.saturating_sub(pure_compute),
-    })
-}
-
-/// Like [`run`] with the OOO-BytePS system, but the backward order is
-/// chosen by the [`ooo_tune`] autotuner instead of the concave
-/// [`search_optimal_k`] heuristic: reverse-first-k jumps plus free `dW`
-/// relocations, scored by the exact predictor over the statically
-/// reconstructed two-lane schedule (with `S[dW_i]` costed as the
-/// round-trip wire time of this link), gated by the verifier, and
-/// certified against the core data-parallel simulator before the
-/// chunk-level engine simulation runs the winner. Returns the report
-/// together with the tuning outcome; `report.k` is the tuned order's
-/// k-shape when it still is one (0 otherwise).
-///
-/// # Errors
-///
-/// Propagates scheduling errors, plus [`crate::Error::InvalidConfig`]
-/// when tuning or certification fails (which would indicate an engine
-/// bug: reverse-first-k orders are verifier-clean by construction).
-pub fn run_tuned(
-    model: &ModelSpec,
-    per_gpu_batch: usize,
-    gpu: &GpuProfile,
-    topology: &ClusterTopology,
-    gpus: usize,
-) -> Result<(DataParReport, ooo_tune::order::TunedOrder)> {
-    let s = setup(
-        model,
-        per_gpu_batch,
-        gpu,
-        topology,
-        gpus,
-        CommSystem::OooBytePS,
-    );
-    // The tuning cost table mirrors the engine: compute times from the
-    // GPU profile, `S[dW_i]` as the push+pull wire time of this link.
-    let mut tune_cost = s.cost.clone();
-    for (i, &bytes) in s.wire_bytes.iter().enumerate() {
-        tune_cost.layer_mut(LayerId(i + 1)).sync_weight = s.link.transfer_ns(2 * bytes);
-    }
-    let baseline = reverse_first_k::<TableCost>(&s.graph, 0, None)?;
-    let tuned = ooo_tune::order::tune_backward_order(
-        &s.graph,
-        &baseline,
-        Some(0),
-        &tune_cost,
-        ooo_core::datapar::CommPolicy::PriorityByLayer,
-        ooo_tune::order::KFamily::ReverseFirstK,
-        &ooo_tune::TuneOptions::default(),
-    )
-    .map_err(|e| crate::Error::InvalidConfig(format!("autotuning failed: {e}")))?;
-    ooo_tune::order::certify_order(
-        &s.graph,
-        &tuned.order,
-        &tune_cost,
-        ooo_core::datapar::CommPolicy::PriorityByLayer,
-    )
-    .map_err(|e| crate::Error::InvalidConfig(format!("certification failed: {e}")))?;
-    let iter_ns = simulate_iteration(
-        &s.cost,
-        &s.wire_bytes,
-        &tuned.order,
-        &s.link,
-        s.policy,
-        s.tau,
-        &LinkFault::none(),
-        LossHandling::RestartTensor,
-    );
-    let pure_compute: SimTime = s.cost.total_backward() + s.cost.total_forward();
-    Ok((
-        DataParReport {
-            iter_ns,
-            throughput: (per_gpu_batch * gpus) as f64 * 1e9 / iter_ns.max(1) as f64,
-            k: tuned.k.unwrap_or(0),
-            exposed_sync_ns: iter_ns.saturating_sub(pure_compute),
-        },
-        tuned,
-    ))
+    let timeline = report.trace.to_timeline(&name);
+    Ok((report, timeline))
 }
 
 #[cfg(test)]
@@ -774,7 +542,8 @@ mod tests {
     fn traced_iteration_matches_report() {
         let m = resnet(50);
         let topo = ClusterTopology::pub_a();
-        let (r, tl) = run_traced(&m, 128, &v100(), &topo, 16, CommSystem::OooBytePS).unwrap();
+        let r = run(&m, 128, &v100(), &topo, 16, CommSystem::OooBytePS).unwrap();
+        let tl = r.trace.to_timeline("datapar");
         tl.validate().unwrap();
         // The timeline's horizon is exactly the simulated iteration: the
         // compute lane ends at the last forward op.
@@ -793,11 +562,11 @@ mod tests {
     }
 
     #[test]
-    fn noop_fault_env_reproduces_run_traced() {
+    fn noop_fault_env_reproduces_run() {
         let m = resnet(50);
         let topo = ClusterTopology::pub_a();
-        let (base, base_tl) =
-            run_traced(&m, 128, &v100(), &topo, 16, CommSystem::OooBytePS).expect("fault-free run");
+        let base = run(&m, 128, &v100(), &topo, 16, CommSystem::OooBytePS).expect("fault-free run");
+        let base_tl = base.trace.to_timeline("datapar");
         let env = FaultEnv::none();
         assert!(env.is_noop());
         let (faulted, faulted_tl) = run_fault_injected(
@@ -915,11 +684,60 @@ mod tests {
     }
 
     #[test]
-    fn tuned_order_is_no_worse_than_its_baseline() {
+    fn baselines_ignore_fixed_k() {
         let m = resnet(50);
-        let (r, tuned) = run_tuned(&m, 64, &v100(), &ClusterTopology::pub_a(), 8).unwrap();
-        assert!(tuned.predicted <= tuned.baseline);
-        assert_eq!(r.k, tuned.k.unwrap_or(0));
-        assert!(r.iter_ns > 0 && r.throughput > 0.0);
+        let topo = ClusterTopology::pub_a();
+        for system in [CommSystem::Horovod, CommSystem::BytePS] {
+            let plain = run(&m, 128, &v100(), &topo, 16, system).unwrap();
+            let (pinned, _) = run_fault_injected(
+                &m,
+                128,
+                &v100(),
+                &topo,
+                16,
+                system,
+                &FaultEnv::none(),
+                Some(5),
+            )
+            .unwrap();
+            assert_eq!(pinned.k, 0, "{} took the fixed k", system.name());
+            assert_eq!(pinned.iter_ns, plain.iter_ns);
+        }
+    }
+
+    #[test]
+    fn fixed_k_is_clamped_to_the_layer_count() {
+        let m = resnet(50);
+        let topo = ClusterTopology::pub_a();
+        let (r, _) = run_fault_injected(
+            &m,
+            128,
+            &v100(),
+            &topo,
+            16,
+            CommSystem::OooBytePS,
+            &FaultEnv::none(),
+            Some(10_000),
+        )
+        .unwrap();
+        assert_eq!(r.k, m.num_layers());
+    }
+
+    #[test]
+    fn zero_gpus_or_batch_is_rejected() {
+        let m = resnet(50);
+        let topo = ClusterTopology::pub_a();
+        for (batch, gpus, field) in [(128, 0, "gpus"), (0, 16, "batch")] {
+            for system in [
+                CommSystem::Horovod,
+                CommSystem::BytePS,
+                CommSystem::OooBytePS,
+            ] {
+                match run(&m, batch, &v100(), &topo, gpus, system) {
+                    Err(Error::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+                    other => panic!("{field} = 0 accepted: {other:?}"),
+                }
+            }
+        }
     }
 }

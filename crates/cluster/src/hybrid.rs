@@ -10,12 +10,12 @@
 //! optimal split of as future work.
 
 use crate::pipeline::run as run_pipeline;
-use crate::{Result, SimTime};
-use ooo_core::pipeline::{Strategy, TaskKind};
+use crate::{Error, Result, SimTime};
+use ooo_core::pipeline::{PipelineResult, Strategy, TaskKind};
 use ooo_core::trace::Timeline;
 use ooo_models::{GpuProfile, ModelSpec};
 use ooo_netsim::commsim::{
-    intervals_to_lane, simulate_queue_recorded, total_finish, CommRequest, Policy,
+    intervals_to_lane, simulate_queue_recorded, total_finish, CommRequest, Policy, ServiceInterval,
 };
 use ooo_netsim::link::LinkSpec;
 
@@ -26,8 +26,28 @@ pub struct HybridReport {
     pub iter_ns: SimTime,
     /// Global throughput (samples/s across all replicas).
     pub throughput: f64,
-    /// The split point used.
+    /// The split point used, clamped to the layer count.
     pub k: usize,
+    /// The pipeline simulation of one replica.
+    pub result: PipelineResult,
+    /// The cross-replica gradient synchronizations of the final
+    /// simulated iteration, aligned to that iteration's start; `None`
+    /// without a data-parallel dimension.
+    sync: Option<Vec<ServiceInterval>>,
+}
+
+impl HybridReport {
+    /// Renders the run as a [`Timeline`]: the pipeline's per-device lanes
+    /// (with explicit bubble stalls) plus a `sync` lane for the
+    /// cross-replica gradient synchronizations.
+    pub fn to_timeline(&self, name: &str) -> Timeline {
+        let mut tl = self.result.to_timeline(name);
+        if let Some(sync) = &self.sync {
+            tl.lanes
+                .push(intervals_to_lane("sync", sync, |i| format!("S[dW{i}]")));
+        }
+        tl
+    }
 }
 
 /// Runs hybrid data+pipeline training with reverse-first-k applied to the
@@ -35,7 +55,8 @@ pub struct HybridReport {
 ///
 /// # Errors
 ///
-/// Propagates pipeline-simulation errors.
+/// Returns [`Error::InvalidConfig`] for zero replicas and propagates
+/// pipeline-simulation errors.
 #[allow(clippy::too_many_arguments)]
 pub fn run_combined(
     model: &ModelSpec,
@@ -49,130 +70,47 @@ pub fn run_combined(
     k: usize,
     iterations: usize,
 ) -> Result<HybridReport> {
-    run_combined_inner(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        intra_link,
-        sync_link,
-        devices,
-        replicas,
-        k,
-        iterations,
-        false,
-    )
-    .map(|(r, _)| r)
-}
-
-/// Like [`run_combined`], additionally returning the traced [`Timeline`]:
-/// the pipeline's per-device lanes (with explicit bubble stalls) plus a
-/// `sync` lane showing the cross-replica gradient synchronizations of the
-/// final simulated iteration, aligned to that iteration's start.
-///
-/// # Errors
-///
-/// Propagates pipeline-simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn run_combined_traced(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    intra_link: &LinkSpec,
-    sync_link: &LinkSpec,
-    devices: usize,
-    replicas: usize,
-    k: usize,
-    iterations: usize,
-) -> Result<(HybridReport, Timeline)> {
-    let (report, timeline) = run_combined_inner(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        intra_link,
-        sync_link,
-        devices,
-        replicas,
-        k,
-        iterations,
-        true,
-    )?;
-    Ok((report, timeline.expect("traced run returns a timeline")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_combined_inner(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    intra_link: &LinkSpec,
-    sync_link: &LinkSpec,
-    devices: usize,
-    replicas: usize,
-    k: usize,
-    iterations: usize,
-    traced: bool,
-) -> Result<(HybridReport, Option<Timeline>)> {
-    let strategy = Strategy::OooPipe2;
+    if replicas == 0 {
+        return Err(Error::InvalidConfig("replicas must be at least 1".into()));
+    }
+    let l = model.num_layers();
+    let k = k.min(l);
     // Debug builds re-check the Section 6 combination implied by this
     // split: reverse first-k over layers 1..=k, fast-forwarding for the
     // rest, against the data-parallel dependency graph whose S[dW] edges
     // model the cross-replica synchronizations prioritized below.
-    crate::checks::order_lazy(
+    crate::checks::schedule_lazy(
         || {
-            let l = model.num_layers();
             let graph = ooo_core::graph::TrainGraph::data_parallel(l);
-            let order = ooo_core::combined::combined_backward_order(&graph, k.min(l))
+            let order = ooo_core::combined::combined_backward_order(&graph, k)
                 .expect("k clamped to the layer count");
-            (graph, order)
+            (graph, ooo_core::Schedule::single_lane("gpu", order))
         },
         false,
         "combined reverse first-k + fast-forwarding order",
     );
-    crate::checks::advise_lazy(
-        || {
-            let l = model.num_layers();
-            let graph = ooo_core::graph::TrainGraph::data_parallel(l);
-            let order = ooo_core::combined::combined_backward_order(&graph, k.min(l))
-                .expect("k clamped to the layer count");
-            (graph, ooo_core::Schedule::single_lane("gpu", order))
-        },
-        "combined reverse first-k + fast-forwarding order",
-    );
-    let report = run_pipeline(
+    let pipeline = run_pipeline(
         model,
         batch,
         micro_batches,
         gpu,
         intra_link,
         devices,
-        strategy,
+        Strategy::OooPipe2,
         1,
         iterations,
     )?;
-    let iter = report.iter_ns;
-    let mut timeline = if traced {
-        Some(
-            report
-                .result
-                .to_timeline(&format!("hybrid/{devices}pipe x{replicas}")),
-        )
-    } else {
-        None
+    let iter = pipeline.iter_ns;
+    let mut report = HybridReport {
+        iter_ns: iter,
+        throughput: batch as f64 * 1e9 / iter.max(1) as f64,
+        k,
+        result: pipeline.result,
+        sync: None,
     };
-    if replicas <= 1 {
+    if replicas == 1 {
         // No data-parallel dimension: pure pipeline.
-        return Ok((
-            HybridReport {
-                iter_ns: iter,
-                throughput: batch as f64 * 1e9 / iter.max(1) as f64,
-                k,
-            },
-            timeline,
-        ));
+        return Ok(report);
     }
 
     // Gradient synchronization across replicas: one request per layer,
@@ -180,12 +118,12 @@ fn run_combined_inner(
     // completed, prioritized so that the first k layers go out first
     // (reverse first-k), the rest by completion order.
     let last_iter = iterations.saturating_sub(1);
-    let mut ready = vec![0u64; model.num_layers() + 1];
+    let mut ready = vec![0u64; l + 1];
     let mut iter_start = SimTime::MAX;
     for e in &report.result.events {
         if e.task.iter == last_iter {
             iter_start = iter_start.min(e.start);
-            if e.task.kind == TaskKind::WeightGrad && e.task.layer <= model.num_layers() {
+            if e.task.kind == TaskKind::WeightGrad && e.task.layer <= l {
                 ready[e.task.layer] = ready[e.task.layer].max(e.end);
             }
         }
@@ -195,51 +133,35 @@ fn run_combined_inner(
     } else {
         iter_start
     };
-    let wire = |bytes: u64| {
-        let n = replicas.max(1) as f64;
-        (2.0 * (n - 1.0) / n * bytes as f64) as u64
-    };
-    let requests: Vec<CommRequest> = (1..=model.num_layers())
+    let n = replicas as f64;
+    let requests: Vec<CommRequest> = (1..=l)
         .map(|i| CommRequest {
             id: i,
-            bytes: if replicas > 1 {
-                wire(model.layers[i - 1].param_bytes)
-            } else {
-                0
-            },
+            bytes: (2.0 * (n - 1.0) / n * model.layers[i - 1].param_bytes as f64) as u64,
             ready_ns: ready[i].saturating_sub(iter_start),
             priority: if i <= k { i as i64 } else { 1_000 + i as i64 },
         })
         .collect();
     let (completions, intervals) =
         simulate_queue_recorded(sync_link, 512 * 1024, Policy::Priority, &requests);
-    if let Some(tl) = &mut timeline {
-        // The queue runs in iteration-relative time; shift its intervals
-        // to the final iteration's start so the sync lane lines up with
-        // the pipeline lanes.
-        let shifted: Vec<_> = intervals
+    // The queue runs in iteration-relative time; shift its intervals to
+    // the final iteration's start so the sync lane lines up with the
+    // pipeline lanes.
+    report.sync = Some(
+        intervals
             .iter()
-            .map(|iv| ooo_netsim::commsim::ServiceInterval {
+            .map(|iv| ServiceInterval {
                 start_ns: iv.start_ns + iter_start,
                 end_ns: iv.end_ns + iter_start,
                 ..*iv
             })
-            .collect();
-        tl.lanes
-            .push(intervals_to_lane("sync", &shifted, |i| format!("S[dW{i}]")));
-    }
-    let sync_end = total_finish(&completions);
+            .collect(),
+    );
     // Exposed synchronization: whatever finishes after the pipeline's own
     // iteration time delays the next iteration.
-    let iter_ns = iter.max(sync_end);
-    Ok((
-        HybridReport {
-            iter_ns,
-            throughput: (batch * replicas) as f64 * 1e9 / iter_ns.max(1) as f64,
-            k,
-        },
-        timeline,
-    ))
+    report.iter_ns = iter.max(total_finish(&completions));
+    report.throughput = (batch * replicas) as f64 * 1e9 / report.iter_ns.max(1) as f64;
+    Ok(report)
 }
 
 /// Searches the split `k` with the concave heuristic and returns the best
@@ -291,62 +213,6 @@ pub fn run_combined_best_k(
     )
 }
 
-/// Like [`run_combined_best_k`], but the split depth `k` is chosen by
-/// the [`ooo_tune`] autotuner's exhaustive predictor sweep
-/// ([`ooo_tune::order::best_combined_k`]) instead of the concave
-/// [`ooo_core::combined::choose_split_k`] heuristic: every combined
-/// backward order is statically scored under a cost table whose
-/// `S[dW_i]` is the round-trip wire time of the replica sync link, and
-/// the predictor-optimal `k` drives the engine. The sweep sees the whole
-/// surface, so a non-concave throughput curve cannot trap it in a local
-/// optimum. Returns the report together with the chosen `k` and its
-/// predicted makespan.
-///
-/// # Errors
-///
-/// As [`run_combined`], plus [`crate::Error::InvalidConfig`] when the
-/// predictor sweep fails (which would indicate an engine bug: combined
-/// orders are valid by construction).
-#[allow(clippy::too_many_arguments)]
-pub fn run_combined_tuned(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    intra_link: &LinkSpec,
-    sync_link: &LinkSpec,
-    devices: usize,
-    replicas: usize,
-    iterations: usize,
-) -> Result<(HybridReport, usize, SimTime)> {
-    let l = model.num_layers();
-    let graph = ooo_core::TrainGraph::data_parallel(l);
-    let mut cost = ooo_models::cost::to_table_cost(model, batch, gpu);
-    for (i, layer) in model.layers.iter().enumerate() {
-        let bytes = if replicas <= 1 { 0 } else { layer.param_bytes };
-        cost.layer_mut(ooo_core::op::LayerId(i + 1)).sync_weight = sync_link.transfer_ns(2 * bytes);
-    }
-    let (k, predicted) = ooo_tune::order::best_combined_k(
-        &graph,
-        &cost,
-        ooo_core::datapar::CommPolicy::PriorityByLayer,
-    )
-    .map_err(|e| crate::Error::InvalidConfig(format!("autotuning failed: {e}")))?;
-    let report = run_combined(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        intra_link,
-        sync_link,
-        devices,
-        replicas,
-        k,
-        iterations,
-    )?;
-    Ok((report, k, predicted))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,7 +247,8 @@ mod tests {
         let gpu = GpuProfile::v100();
         let nv = LinkSpec::nvlink();
         let eth = LinkSpec::ethernet_10g();
-        let (r, tl) = run_combined_traced(&m, 96, 4, &gpu, &nv, &eth, 4, 4, 2, 4).unwrap();
+        let r = run_combined(&m, 96, 4, &gpu, &nv, &eth, 4, 4, 2, 4).unwrap();
+        let tl = r.to_timeline("hybrid");
         tl.validate().unwrap();
         let plain = run_combined(&m, 96, 4, &gpu, &nv, &eth, 4, 4, 2, 4).unwrap();
         assert_eq!(r.iter_ns, plain.iter_ns);
@@ -402,15 +269,18 @@ mod tests {
     }
 
     #[test]
-    fn tuned_hybrid_split_matches_the_report() {
+    fn zero_replicas_rejected_and_k_clamped() {
         let m = bert(12, 128);
         let gpu = GpuProfile::v100();
         let nv = LinkSpec::nvlink();
         let eth = LinkSpec::ethernet_10g();
-        let (r, k, predicted) = run_combined_tuned(&m, 96, 4, &gpu, &nv, &eth, 4, 4, 4).unwrap();
-        assert_eq!(r.k, k);
-        assert!(k <= m.num_layers());
-        assert!(predicted > 0);
-        assert!(r.throughput > 0.0);
+        match run_combined(&m, 96, 4, &gpu, &nv, &eth, 4, 0, 0, 4) {
+            Err(Error::InvalidConfig(msg)) => assert!(msg.contains("replicas"), "{msg}"),
+            other => panic!("zero replicas accepted: {other:?}"),
+        }
+        let deep = run_combined(&m, 96, 4, &gpu, &nv, &eth, 4, 4, 1_000, 4).unwrap();
+        let full = run_combined(&m, 96, 4, &gpu, &nv, &eth, 4, 4, m.num_layers(), 4).unwrap();
+        assert_eq!(deep.k, m.num_layers());
+        assert_eq!(deep.iter_ns, full.iter_ns);
     }
 }

@@ -22,6 +22,20 @@
 //! - [`mem`] — ledger-checked memory accounting: the exact static
 //!   ledger reconciled against a per-op counter instrumented into the
 //!   engine simulations.
+//!
+//! Each engine has one run path: [`single::run`] (plus
+//! [`single::run_ooo_with_sub_order`] for the sub-stream ablation),
+//! [`datapar::run`] and [`datapar::run_fault_injected`] over one core
+//! (the latter under a [`datapar::FaultEnv`] or a pinned `k`),
+//! [`pipeline::run`], and [`hybrid::run_combined`] with its `k` search
+//! [`hybrid::run_combined_best_k`]. Every report carries the record its
+//! timeline is rendered from ([`single::SingleGpuReport::trace`],
+//! [`datapar::DataParReport::trace`], [`pipeline::PipelineReport::result`],
+//! [`hybrid::HybridReport::to_timeline`]), so tracing never re-simulates.
+//! Degenerate configurations (a zero batch, GPU count or replica count)
+//! are rejected with [`Error::InvalidConfig`], and debug builds re-check
+//! every schedule an engine simulates with the `ooo-verify` analyzer and
+//! performance advisor.
 
 #![warn(missing_docs)]
 

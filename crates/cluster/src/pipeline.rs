@@ -37,8 +37,8 @@ pub struct PipelineReport {
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] for batches that do not divide and
-/// propagates simulator errors.
+/// Returns [`Error::InvalidConfig`] for a zero batch and for batches
+/// that do not divide, and propagates simulator errors.
 #[allow(clippy::too_many_arguments)] // one experiment configuration per argument
 pub fn run(
     model: &ModelSpec,
@@ -51,117 +51,9 @@ pub fn run(
     modulo_group: usize,
     iterations: usize,
 ) -> Result<PipelineReport> {
-    run_inner(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        link,
-        devices,
-        strategy,
-        modulo_group,
-        iterations,
-        None,
-    )
-}
-
-/// Like [`run`] with the OOO-Pipe2 strategy, but the modulo group is
-/// chosen by the [`ooo_tune`] autotuner instead of being passed in: the
-/// op-level schedule is tuned under the exact predictor (regroup moves
-/// across every modulo group plus in-lane `dW` deferrals, verifier-gated
-/// and simulation-certified), and the engine then runs OOO-Pipe2 with
-/// the winning group. Returns the report together with the tuning
-/// outcome, whose `group` is the chosen modulo group.
-///
-/// # Errors
-///
-/// As [`run`], plus [`Error::InvalidConfig`] when tuning or
-/// certification fails (which would indicate an engine bug: op-level
-/// strategy schedules are verifier-clean by construction).
-pub fn run_tuned(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    link: &LinkSpec,
-    devices: usize,
-    iterations: usize,
-) -> Result<(PipelineReport, ooo_tune::pipeline::TunedPipeline)> {
-    let layers = model.num_layers();
-    let tuned = ooo_tune::pipeline::tune_pipeline(
-        layers,
-        devices,
-        Strategy::OooPipe2,
-        1,
-        &ooo_core::cost::UnitCost,
-        &ooo_tune::TuneOptions::default(),
-    )
-    .map_err(|e| Error::InvalidConfig(format!("autotuning failed: {e}")))?;
-    ooo_tune::certify_schedule(&tuned.graph, &tuned.schedule, &ooo_core::cost::UnitCost)
-        .map_err(|e| Error::InvalidConfig(format!("certification failed: {e}")))?;
-    let report = run(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        link,
-        devices,
-        Strategy::OooPipe2,
-        tuned.group,
-        iterations,
-    )?;
-    Ok((report, tuned))
-}
-
-/// Like [`run`] with one pipeline stage straggling: every computation
-/// placed on `straggler_device` runs `factor`× slower (a factor ≤ 1
-/// reproduces [`run`] exactly). This is the per-stage slowdown 2BP-style
-/// backprop splitting is sensitive to.
-///
-/// # Errors
-///
-/// As [`run`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_stage_slowdown(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    link: &LinkSpec,
-    devices: usize,
-    strategy: Strategy,
-    modulo_group: usize,
-    iterations: usize,
-    straggler_device: usize,
-    factor: f64,
-) -> Result<PipelineReport> {
-    run_inner(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        link,
-        devices,
-        strategy,
-        modulo_group,
-        iterations,
-        Some((straggler_device, factor)),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_inner(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    link: &LinkSpec,
-    devices: usize,
-    strategy: Strategy,
-    modulo_group: usize,
-    iterations: usize,
-    straggler: Option<(usize, f64)>,
-) -> Result<PipelineReport> {
+    if batch == 0 {
+        return Err(Error::InvalidConfig("batch must be at least 1".into()));
+    }
     if micro_batches == 0 || !batch.is_multiple_of(micro_batches) {
         return Err(Error::InvalidConfig(format!(
             "batch {batch} not divisible into {micro_batches} micro-batches"
@@ -170,31 +62,12 @@ fn run_inner(
     let micro = batch / micro_batches;
     // Debug builds re-check the strategy's op-level schedule (device
     // lanes plus the activation-gradient link lane) with the static
-    // analyzer before the micro-batch simulation runs it.
+    // analyzers before the micro-batch simulation runs it.
     crate::checks::schedule_lazy(
         || op_level_schedule(model.num_layers(), devices, strategy, modulo_group),
         true,
         "pipeline op-level schedule",
     );
-    crate::checks::advise_lazy(
-        || op_level_schedule(model.num_layers(), devices, strategy, modulo_group),
-        "pipeline op-level schedule",
-    );
-    let mut cost = to_pipe_cost(model, micro, gpu, |bytes| link.transfer_ns(bytes));
-    if let Some((dev, factor)) = straggler {
-        if factor > 1.0 && factor.is_finite() {
-            let layers = model.num_layers();
-            let alloc = strategy.allocation(layers, devices.max(1), modulo_group);
-            let scale = |t: SimTime| (t as f64 * factor) as SimTime;
-            for i in 1..=layers {
-                if alloc.device_of(i, layers, devices.max(1)) == dev {
-                    cost.forward[i - 1] = scale(cost.forward[i - 1]);
-                    cost.output_grad[i - 1] = scale(cost.output_grad[i - 1]);
-                    cost.weight_grad[i - 1] = scale(cost.weight_grad[i - 1]);
-                }
-            }
-        }
-    }
     let config = PipelineConfig {
         layers: model.num_layers(),
         devices,
@@ -202,7 +75,7 @@ fn run_inner(
         iterations,
         strategy,
         modulo_group,
-        cost,
+        cost: to_pipe_cost(model, micro, gpu, |bytes| link.transfer_ns(bytes)),
     };
     let result = simulate_pipeline(&config)?;
     let iter_ns =
@@ -216,31 +89,6 @@ fn run_inner(
         mean_utilization,
         result,
     })
-}
-
-/// Single-GPU reference throughput for normalization (Figure 11a's
-/// y-axis): the whole model on one device.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn single_gpu_reference(
-    model: &ModelSpec,
-    batch: usize,
-    gpu: &GpuProfile,
-    iterations: usize,
-) -> Result<PipelineReport> {
-    run(
-        model,
-        batch,
-        1,
-        gpu,
-        &LinkSpec::nvlink(),
-        1,
-        Strategy::ModelParallel,
-        1,
-        iterations,
-    )
 }
 
 #[cfg(test)]
@@ -271,51 +119,6 @@ mod tests {
         // The paper: OOO-Pipe2 is ~1.5x GPipe for the 16-layer FFNN.
         let speedup = pipe2 / gpipe;
         assert!((1.2..2.2).contains(&speedup), "FFNN Pipe2/GPipe {speedup}");
-    }
-
-    #[test]
-    fn stage_straggler_slows_pipeline_and_noop_is_exact() {
-        let m = ffnn16(4_096);
-        let nv = LinkSpec::nvlink();
-        let base = run(&m, 1_024, 4, &v100(), &nv, 4, Strategy::OooPipe2, 1, 4).unwrap();
-        let noop = run_with_stage_slowdown(
-            &m,
-            1_024,
-            4,
-            &v100(),
-            &nv,
-            4,
-            Strategy::OooPipe2,
-            1,
-            4,
-            2,
-            1.0,
-        )
-        .unwrap();
-        assert_eq!(base.iter_ns, noop.iter_ns);
-        // A straggler on any stage inflates the steady-state iteration.
-        for dev in 0..4 {
-            let slow = run_with_stage_slowdown(
-                &m,
-                1_024,
-                4,
-                &v100(),
-                &nv,
-                4,
-                Strategy::OooPipe2,
-                1,
-                4,
-                dev,
-                3.0,
-            )
-            .unwrap();
-            assert!(
-                slow.iter_ns > base.iter_ns,
-                "device {dev}: straggled {} vs base {}",
-                slow.iter_ns,
-                base.iter_ns
-            );
-        }
     }
 
     #[test]
@@ -393,18 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn single_gpu_reference_runs() {
-        let m = ffnn16(1_024);
-        let r = single_gpu_reference(&m, 256, &v100(), 3).unwrap();
-        assert!(r.throughput > 0.0);
-    }
-
-    #[test]
-    fn tuned_pipeline_never_predicts_worse_than_ooo_pipe2() {
-        let m = ffnn16(1_024);
-        let (r, tuned) = run_tuned(&m, 256, 4, &v100(), &LinkSpec::nvlink(), 4, 4).unwrap();
-        assert!(tuned.predicted <= tuned.baseline);
-        assert!(tuned.group >= 1 && tuned.group <= m.num_layers());
-        assert!(r.throughput > 0.0);
+    fn zero_batch_rejected() {
+        let m = ffnn16(128);
+        let nv = LinkSpec::nvlink();
+        match run(&m, 0, 1, &v100(), &nv, 2, Strategy::GPipe, 1, 2) {
+            Err(Error::InvalidConfig(msg)) => assert!(msg.contains("batch"), "{msg}"),
+            other => panic!("batch 0 accepted: {other:?}"),
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! [`Slowdown`](ooo_gpusim::engine::Slowdown) window in the GPU engine,
 //! [`LinkFault`](ooo_netsim::commsim::LinkFault) outage/degradation
 //! windows in the communication queues, a
-//! [`FaultEnv`](ooo_cluster::datapar::FaultEnv) for the cluster
-//! engines); this crate supplies the three layers above them:
+//! [`FaultEnv`](ooo_cluster::datapar::FaultEnv) for the data-parallel
+//! engine); this crate supplies the three layers above them:
 //!
 //! - [`fault`] — a declarative fault taxonomy (straggler, degradation,
 //!   flapping, crash, schedule corruption) and a seeded scenario

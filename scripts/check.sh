@@ -21,6 +21,20 @@ cmp /tmp/ooo-chaos-a.json /tmp/ooo-chaos-b.json \
   || { echo "ooo-chaos: same seed produced different reports"; exit 1; }
 rm -f /tmp/ooo-chaos-a.json /tmp/ooo-chaos-b.json
 
+echo "==> ooo-trace smoke (every system exports byte-identically; degenerate configs exit 1)"
+cargo build -q -p ooo-cluster --bin ooo-trace
+for sys in single datapar pipeline hybrid; do
+  for pass in a b; do
+    ./target/debug/ooo-trace export --system "$sys" --out /tmp/ooo-trace-$pass.json \
+      || { echo "ooo-trace: export --system $sys failed"; exit 1; }
+  done
+  cmp /tmp/ooo-trace-a.json /tmp/ooo-trace-b.json \
+    || { echo "ooo-trace: two $sys exports produced different bytes"; exit 1; }
+done
+rm -f /tmp/ooo-trace-a.json /tmp/ooo-trace-b.json
+rc=0; ./target/debug/ooo-trace summarize --system datapar --gpus 0 > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || { echo "ooo-trace: --gpus 0 should be rejected with exit 1 (got $rc)"; exit 1; }
+
 echo "==> ooo-advise smoke (exit-code contract + determinism)"
 cargo build -q -p ooo-verify --bin ooo-advise
 rc=0; ./target/debug/ooo-advise pipeline --layers 8 --devices 2 --strategy pipe2 || rc=$?
