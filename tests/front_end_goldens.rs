@@ -1,6 +1,7 @@
 //! Byte-for-byte goldens of the request front ends: `ooo-tune`,
 //! `ooo-cert`, `ooo-advise`, `ooo-lint`, `ooo-memcheck` and the
-//! `ooo-serve` handlers.
+//! `ooo-serve` handlers, plus the argv usage-error surface of those
+//! CLIs and of `ooo-trace`, `ooo-chaos` and `ooo-serve`.
 //!
 //! The other contract suites check exit codes and double-run identity;
 //! this one pins the exact bytes. Each CLI case records its exit code,
@@ -21,15 +22,23 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The packages owning the CLIs under golden (`ooo-verify` owns
-/// `ooo-advise`, `ooo-lint` and `ooo-memcheck`).
-const PACKAGES: [&str; 3] = ["ooo-tune", "ooo-cert", "ooo-verify"];
+/// `ooo-advise`, `ooo-lint` and `ooo-memcheck`; `ooo-cluster` owns
+/// `ooo-trace` and `ooo-faults` owns `ooo-chaos`).
+const PACKAGES: [&str; 6] = [
+    "ooo-tune",
+    "ooo-cert",
+    "ooo-verify",
+    "ooo-cluster",
+    "ooo-faults",
+    "ooo-serve",
+];
 
 /// Marks the argument replaced by a scratch `--out` path.
 const OUT: &str = "@OUT";
 
-/// Every CLI case: binary and its space-separated argv. Bundle paths
-/// are relative to the fixture directory, which is the working
-/// directory of each run.
+/// Every CLI case: binary and its space-separated argv (empty for a
+/// bare invocation). Bundle paths are relative to the fixture
+/// directory, which is the working directory of each run.
 const CLI_CASES: &[(&str, &str)] = &[
     // ooo-tune: the three modes, human and JSON.
     ("ooo-tune", "order --layers 8 --k 0 --sync 3"),
@@ -190,6 +199,166 @@ const CLI_CASES: &[(&str, &str)] = &[
         "ooo-memcheck",
         "order --layers 6 --k 2 --budget 1 --json --baseline",
     ),
+    // Usage errors: bare invocations, --help, unknown modes, missing,
+    // dangling and malformed values, unknown and other-mode flags,
+    // out-of-range problem shapes and stray positionals.
+    ("ooo-tune", ""),
+    ("ooo-tune", "--help"),
+    ("ooo-tune", "nope"),
+    ("ooo-tune", "order"),
+    ("ooo-tune", "bundle"),
+    ("ooo-tune", "pipeline --layers 4 --devices 2"),
+    ("ooo-tune", "order --layers 4 --out"),
+    ("ooo-tune", "order --layers x"),
+    ("ooo-tune", "order --layers 4 --restarts x"),
+    ("ooo-tune", "order --layers 4 --memory-cap x"),
+    ("ooo-tune", "order --layers 4 --bogus"),
+    ("ooo-tune", "bundle flat.json --bogus"),
+    (
+        "ooo-tune",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --bogus",
+    ),
+    ("ooo-tune", "order --layers 0"),
+    ("ooo-tune", "order --layers 2 --k 3"),
+    ("ooo-tune", "order --layers 3 --layers 0"),
+    (
+        "ooo-tune",
+        "pipeline --layers 4 --devices 0 --strategy gpipe",
+    ),
+    (
+        "ooo-tune",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --group 0",
+    ),
+    ("ooo-tune", "order --layers 4 --schedule two_lane"),
+    ("ooo-tune", "bundle flat.json --layers 4"),
+    (
+        "ooo-tune",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --k 1",
+    ),
+    ("ooo-tune", "bundle flat.json extra.json"),
+    ("ooo-tune", "order --layers 4 extra"),
+    ("ooo-cert", ""),
+    ("ooo-cert", "--help"),
+    ("ooo-cert", "nope"),
+    ("ooo-cert", "order"),
+    ("ooo-cert", "bundle"),
+    ("ooo-cert", "pipeline --layers 4 --devices 2"),
+    ("ooo-cert", "order --layers 4 --out"),
+    ("ooo-cert", "order --layers x"),
+    ("ooo-cert", "order --layers 4 --budget x"),
+    ("ooo-cert", "order --layers 4 --bogus"),
+    ("ooo-cert", "bundle flat.json --bogus"),
+    (
+        "ooo-cert",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --bogus",
+    ),
+    ("ooo-cert", "order --layers 0"),
+    ("ooo-cert", "order --layers 2 --k 3"),
+    (
+        "ooo-cert",
+        "pipeline --layers 4 --devices 0 --strategy gpipe",
+    ),
+    (
+        "ooo-cert",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --group 0",
+    ),
+    ("ooo-cert", "order --layers 4 --schedule two_lane"),
+    ("ooo-cert", "bundle flat.json --layers 4"),
+    (
+        "ooo-cert",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --sync 1",
+    ),
+    ("ooo-cert", "bundle flat.json extra.json"),
+    ("ooo-advise", ""),
+    ("ooo-advise", "--help"),
+    ("ooo-advise", "order --layers 4"),
+    ("ooo-advise", "bundle"),
+    ("ooo-advise", "pipeline --layers 4 --devices 2"),
+    ("ooo-advise", "bundle flat.json --out"),
+    (
+        "ooo-advise",
+        "pipeline --layers x --devices 2 --strategy gpipe",
+    ),
+    (
+        "ooo-advise",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --group x",
+    ),
+    ("ooo-advise", "bundle flat.json --bogus"),
+    (
+        "ooo-advise",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --bogus",
+    ),
+    (
+        "ooo-advise",
+        "pipeline --layers 0 --devices 2 --strategy gpipe",
+    ),
+    (
+        "ooo-advise",
+        "pipeline --layers 4 --devices 0 --strategy gpipe",
+    ),
+    (
+        "ooo-advise",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --group 0",
+    ),
+    ("ooo-advise", "bundle flat.json --layers 4"),
+    (
+        "ooo-advise",
+        "pipeline --layers 4 --devices 2 --strategy gpipe --schedule nope",
+    ),
+    ("ooo-advise", "bundle flat.json extra.json"),
+    ("ooo-memcheck", ""),
+    ("ooo-memcheck", "--help"),
+    ("ooo-memcheck", "nope"),
+    ("ooo-memcheck", "order"),
+    ("ooo-memcheck", "bundle"),
+    ("ooo-memcheck", "order --layers 4 --out"),
+    ("ooo-memcheck", "order --layers x"),
+    ("ooo-memcheck", "order --layers 4 --budget x"),
+    ("ooo-memcheck", "order --layers 4 --bogus"),
+    ("ooo-memcheck", "bundle flat.json --bogus"),
+    ("ooo-memcheck", "order --layers 0"),
+    ("ooo-memcheck", "order --layers 2 --k 3"),
+    ("ooo-memcheck", "bundle flat.json --k 9"),
+    ("ooo-memcheck", "bundle flat.json --layers 4 --sync 2"),
+    ("ooo-memcheck", "order --layers 4 --schedule nope"),
+    ("ooo-memcheck", "order --layers 4 --policy fifo"),
+    ("ooo-memcheck", "bundle flat.json extra.json"),
+    ("ooo-memcheck", "order --layers 4 extra"),
+    ("ooo-lint", ""),
+    ("ooo-lint", "--help"),
+    ("ooo-lint", "--bogus"),
+    ("ooo-lint", "flat.json --bogus"),
+    ("ooo-lint", "flat.json --out"),
+    ("ooo-lint", "flat.json --budget x"),
+    ("ooo-lint", "flat.json extra.json"),
+    ("ooo-lint", "flat.json --layers 4"),
+    ("ooo-trace", ""),
+    ("ooo-trace", "--help"),
+    ("ooo-trace", "nope"),
+    ("ooo-trace", "export"),
+    ("ooo-trace", "export --bogus"),
+    ("ooo-trace", "export --system single --batch x"),
+    ("ooo-trace", "export --system single --out"),
+    ("ooo-trace", "export flat.json --system single"),
+    ("ooo-trace", "summarize a.json b.json"),
+    ("ooo-chaos", ""),
+    ("ooo-chaos", "--help"),
+    ("ooo-chaos", "nope"),
+    ("ooo-chaos", "run --bogus"),
+    ("ooo-chaos", "run --seed x"),
+    ("ooo-chaos", "run --scenarios x"),
+    ("ooo-chaos", "run --scenarios 0"),
+    ("ooo-chaos", "run --out"),
+    ("ooo-chaos", "list extra"),
+    ("ooo-serve", ""),
+    ("ooo-serve", "--help"),
+    ("ooo-serve", "--bogus"),
+    ("ooo-serve", "--daemon --workers x"),
+    ("ooo-serve", "--daemon --workers"),
+    ("ooo-serve", "--daemon --retries x"),
+    ("ooo-serve", "--oneshot --socket x"),
+    ("ooo-serve", "--daemon --socket"),
+    ("ooo-serve", "--daemon extra"),
 ];
 
 /// Serve request bodies (without `id`) run at every tier. `@name`
@@ -282,6 +451,7 @@ fn cli_outputs_match_the_goldens() {
         let _ = std::fs::remove_file(&out_path);
         let argv: Vec<&str> = args
             .split(' ')
+            .filter(|a| !a.is_empty())
             .map(|a| if a == OUT { out_arg } else { a })
             .collect();
         let out = Command::new(clis.join(name))
