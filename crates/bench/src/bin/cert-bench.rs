@@ -3,44 +3,23 @@
 //! times, and the delta-vs-full evaluation speedup over seeds 1–10.
 
 use ooo_bench::cert_trajectory;
-use std::io::Write;
+use ooo_core::cli::{mode, Spec, OUT};
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: cert-bench [--out PATH]\n\
   Runs the heuristic -> tuned -> certified pipeline over seeds 1-10\n\
   and prints the BENCH_cert.json document (or writes it to PATH).";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" if i + 1 < args.len() => {
-                out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            _ => {
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let rows = cert_trajectory::run_default();
-    let text = cert_trajectory::to_json(&rows).to_pretty();
-    match out {
-        Some(path) => {
-            let mut f = match std::fs::File::create(&path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cert-bench: cannot create {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if let Err(e) = writeln!(f, "{text}") {
-                eprintln!("cert-bench: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-        None => println!("{text}"),
-    }
+const SPEC: Spec = Spec {
+    tool: "cert-bench",
+    usage: USAGE,
+    modes: &[mode("", &[OUT], &[], false)],
+};
+
+fn main() -> ExitCode {
+    SPEC.run(|p| {
+        let rows = cert_trajectory::run_default();
+        p.emit(&(cert_trajectory::to_json(&rows).to_pretty() + "\n"))?;
+        Ok(ExitCode::SUCCESS)
+    })
 }

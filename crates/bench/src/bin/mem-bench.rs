@@ -3,7 +3,8 @@
 //! trade of memory-capped tuning.
 
 use ooo_bench::mem;
-use std::io::Write;
+use ooo_core::cli::{mode, Spec, OUT};
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: mem-bench [--smoke] [--out PATH]\n\
   Runs the static memory-ledger scenarios (early-free savings and the\n\
@@ -11,48 +12,22 @@ const USAGE: &str = "usage: mem-bench [--smoke] [--out PATH]\n\
   (or writes it to PATH). --smoke runs small sizes and omits wall\n\
   times, so its output is byte-identical across runs.";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out: Option<String> = None;
-    let mut smoke = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" if i + 1 < args.len() => {
-                out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            _ => {
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let sizes = if smoke {
-        mem::smoke_sizes()
-    } else {
-        mem::bench_sizes()
-    };
-    let (early, caps) = mem::run_bench(&sizes);
-    let text = mem::to_json(&early, &caps, !smoke).to_pretty();
-    match out {
-        Some(path) => {
-            let mut f = match std::fs::File::create(&path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("mem-bench: cannot create {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if let Err(e) = writeln!(f, "{text}") {
-                eprintln!("mem-bench: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-        None => println!("{text}"),
-    }
+const SPEC: Spec = Spec {
+    tool: "mem-bench",
+    usage: USAGE,
+    modes: &[mode("", &[OUT], &["--smoke"], false)],
+};
+
+fn main() -> ExitCode {
+    SPEC.run(|p| {
+        let smoke = p.switch("--smoke");
+        let sizes = if smoke {
+            mem::smoke_sizes()
+        } else {
+            mem::bench_sizes()
+        };
+        let (early, caps) = mem::run_bench(&sizes);
+        p.emit(&(mem::to_json(&early, &caps, !smoke).to_pretty() + "\n"))?;
+        Ok(ExitCode::SUCCESS)
+    })
 }

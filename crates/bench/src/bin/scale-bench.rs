@@ -8,7 +8,8 @@
 //! twice and `cmp`s.
 
 use ooo_bench::scale;
-use std::io::Write;
+use ooo_core::cli::{mode, Spec, OUT};
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: scale-bench [--smoke] [--out PATH]\n\
   Runs the 10/100/1000-stage scale sweep and prints the\n\
@@ -16,48 +17,22 @@ const USAGE: &str = "usage: scale-bench [--smoke] [--out PATH]\n\
   runs the small points only and emits just the deterministic\n\
   differential fields (byte-identical across runs).";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out: Option<String> = None;
-    let mut smoke = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" if i + 1 < args.len() => {
-                out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            _ => {
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let points = if smoke {
-        scale::smoke_points()
-    } else {
-        scale::sweep_points()
-    };
-    let rows = scale::run_sweep(&points);
-    let text = scale::to_json(&rows, !smoke).to_pretty();
-    match out {
-        Some(path) => {
-            let mut f = match std::fs::File::create(&path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("scale-bench: cannot create {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if let Err(e) = writeln!(f, "{text}") {
-                eprintln!("scale-bench: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-        None => println!("{text}"),
-    }
+const SPEC: Spec = Spec {
+    tool: "scale-bench",
+    usage: USAGE,
+    modes: &[mode("", &[OUT], &["--smoke"], false)],
+};
+
+fn main() -> ExitCode {
+    SPEC.run(|p| {
+        let smoke = p.switch("--smoke");
+        let points = if smoke {
+            scale::smoke_points()
+        } else {
+            scale::sweep_points()
+        };
+        let rows = scale::run_sweep(&points);
+        p.emit(&(scale::to_json(&rows, !smoke).to_pretty() + "\n"))?;
+        Ok(ExitCode::SUCCESS)
+    })
 }

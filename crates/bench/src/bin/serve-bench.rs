@@ -3,7 +3,8 @@
 //! speedup over a cold full-tier tune.
 
 use ooo_bench::serve;
-use std::io::Write;
+use ooo_core::cli::{mode, Spec, OUT};
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: serve-bench [--smoke] [--out PATH]\n\
   Drives the in-process ooo-serve daemon through the benchmark\n\
@@ -11,48 +12,22 @@ const USAGE: &str = "usage: serve-bench [--smoke] [--out PATH]\n\
   to PATH). --smoke runs small sizes and omits wall times, so its\n\
   output is byte-identical across runs.";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out: Option<String> = None;
-    let mut smoke = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" if i + 1 < args.len() => {
-                out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            _ => {
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let sizes = if smoke {
-        serve::smoke_sizes()
-    } else {
-        serve::bench_sizes()
-    };
-    let rows = serve::run_bench(&sizes);
-    let text = serve::to_json(&rows, !smoke).to_pretty();
-    match out {
-        Some(path) => {
-            let mut f = match std::fs::File::create(&path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("serve-bench: cannot create {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if let Err(e) = writeln!(f, "{text}") {
-                eprintln!("serve-bench: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-        None => println!("{text}"),
-    }
+const SPEC: Spec = Spec {
+    tool: "serve-bench",
+    usage: USAGE,
+    modes: &[mode("", &[OUT], &["--smoke"], false)],
+};
+
+fn main() -> ExitCode {
+    SPEC.run(|p| {
+        let smoke = p.switch("--smoke");
+        let sizes = if smoke {
+            serve::smoke_sizes()
+        } else {
+            serve::bench_sizes()
+        };
+        let rows = serve::run_bench(&sizes);
+        p.emit(&(serve::to_json(&rows, !smoke).to_pretty() + "\n"))?;
+        Ok(ExitCode::SUCCESS)
+    })
 }

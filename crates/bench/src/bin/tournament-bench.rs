@@ -10,7 +10,8 @@
 //! field).
 
 use ooo_bench::tournament;
-use std::io::Write;
+use ooo_core::cli::{mode, Fail, Spec, OUT};
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: tournament-bench [--smoke] [--strategy NAME] [--out PATH]\n\
 \x20      tournament-bench --bundle PATH\n\
@@ -21,120 +22,73 @@ const USAGE: &str = "usage: tournament-bench [--smoke] [--strategy NAME] [--out 
   With --bundle PATH, instead exports every data-parallel zoo\n\
   strategy's schedule as a ScheduleBundle for the analysis CLIs.";
 
+const SPEC: Spec = Spec {
+    tool: "tournament-bench",
+    usage: USAGE,
+    modes: &[mode(
+        "",
+        &[&["--strategy", "--bundle"], OUT],
+        &["--smoke"],
+        false,
+    )],
+};
+
 /// Exports one schedule per data-parallel zoo strategy over a small
 /// 8-layer graph as a [`ScheduleBundle`], so `ooo-advise bundle
 /// --schedule NAME` (and the other bundle consumers) can smoke each
 /// strategy from the shell.
-fn export_bundle(path: &str) {
+fn export_bundle(path: &str) -> Result<(), Fail> {
     use ooo_cluster::strategy::{zoo, Shape};
     use ooo_core::cost::UnitCost;
     use ooo_core::export::ScheduleBundle;
 
     let shape = Shape::DataParallel { layers: 8 };
-    let graph = match shape.graph() {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("tournament-bench: cannot build bundle graph: {e}");
-            std::process::exit(2);
-        }
-    };
+    let graph = shape
+        .graph()
+        .map_err(|e| format!("cannot build bundle graph: {e}"))?;
     let mut bundle = ScheduleBundle::new("strategy-zoo", &graph);
     for strat in zoo() {
         if !strat.applicable(shape) {
             continue;
         }
-        let generated = match strat.generate(shape, &UnitCost) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("tournament-bench: {} failed to generate: {e}", strat.name());
-                std::process::exit(2);
-            }
-        };
+        let generated = strat
+            .generate(shape, &UnitCost)
+            .map_err(|e| format!("{} failed to generate: {e}", strat.name()))?;
         bundle
             .schedules
             .insert(strat.name().to_string(), generated.schedule);
     }
-    let text = match bundle.to_json() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("tournament-bench: bundle does not serialize: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("tournament-bench: cannot write {path}: {e}");
-        std::process::exit(2);
-    }
+    let text = bundle
+        .to_json()
+        .map_err(|e| format!("bundle does not serialize: {e}"))?;
+    std::fs::write(path, text).map_err(|e| Fail::Error(format!("cannot write {path}: {e}")))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out: Option<String> = None;
-    let mut smoke = false;
-    let mut strategy: Option<String> = None;
-    let mut bundle: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--bundle" if i + 1 < args.len() => {
-                bundle = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--strategy" if i + 1 < args.len() => {
-                strategy = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--out" if i + 1 < args.len() => {
-                out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            _ => {
-                eprintln!("{USAGE}");
-                std::process::exit(2);
+fn main() -> ExitCode {
+    SPEC.run(|p| {
+        if let Some(path) = p.text("--bundle") {
+            export_bundle(path)?;
+            return Ok(ExitCode::SUCCESS);
+        }
+        let strategy = p.text("--strategy");
+        if let Some(name) = strategy {
+            if ooo_cluster::strategy::strategy_by_name(name).is_none() {
+                return Err(Fail::Error(format!(
+                    "unknown strategy {name}; known: {}",
+                    ooo_cluster::strategy::strategy_names().join(", ")
+                )));
             }
         }
-    }
-    if let Some(path) = &bundle {
-        export_bundle(path);
-        return;
-    }
-    if let Some(name) = &strategy {
-        if ooo_cluster::strategy::strategy_by_name(name).is_none() {
-            eprintln!(
-                "tournament-bench: unknown strategy {name}; known: {}",
-                ooo_cluster::strategy::strategy_names().join(", ")
-            );
-            std::process::exit(2);
+        let bracket = if p.switch("--smoke") {
+            tournament::smoke_bracket()
+        } else {
+            tournament::bracket()
+        };
+        let mut t = tournament::run(&bracket);
+        if let Some(name) = strategy {
+            t.cells.retain(|c| c.strategy == name);
         }
-    }
-    let bracket = if smoke {
-        tournament::smoke_bracket()
-    } else {
-        tournament::bracket()
-    };
-    let mut t = tournament::run(&bracket);
-    if let Some(name) = &strategy {
-        t.cells.retain(|c| c.strategy == name.as_str());
-    }
-    let text = tournament::to_json(&t).to_pretty();
-    match out {
-        Some(path) => {
-            let mut f = match std::fs::File::create(&path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("tournament-bench: cannot create {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if let Err(e) = writeln!(f, "{text}") {
-                eprintln!("tournament-bench: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-        None => println!("{text}"),
-    }
+        p.emit(&(tournament::to_json(&t).to_pretty() + "\n"))?;
+        Ok(ExitCode::SUCCESS)
+    })
 }

@@ -25,14 +25,12 @@
 //! usage, I/O, or parse problems.
 
 use ooo_cert::{certify_order, certify_with, Budget, Certificate, Placement, Solved};
+use ooo_core::cli::{mode, Shape, Spec, BUNDLE, JSON, ORDER, OUT, PIPELINE, POLICY};
 use ooo_core::cost::UnitCost;
-use ooo_core::datapar::CommPolicy;
 use ooo_core::export::{Entry, ScheduleBundle};
 use ooo_core::json::{obj, Value};
-use ooo_core::pipeline::Strategy;
 use ooo_core::reverse_k::UniformProblem;
 use ooo_core::schedule::Schedule;
-use ooo_core::SimTime;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: ooo-cert order --layers N [--k K] [--sync NS] \
@@ -42,178 +40,17 @@ const USAGE: &str = "usage: ooo-cert order --layers N [--k K] [--sync NS] \
                      \x20      ooo-cert pipeline --layers N --devices D --strategy NAME \
                      [--group G] [--budget NODES] [--json] [--out FILE]";
 
-enum Mode {
-    Order {
-        layers: usize,
-        k: usize,
-        sync: SimTime,
-        policy: CommPolicy,
-    },
-    Bundle {
-        path: String,
-        schedule: Option<String>,
-        policy: CommPolicy,
-    },
-    Pipeline {
-        layers: usize,
-        devices: usize,
-        strategy: Strategy,
-        group: usize,
-    },
-}
+const BUDGET: &[&str] = &["--budget"];
 
-struct Args {
-    mode: Mode,
-    budget: Budget,
-    json: bool,
-    out: Option<String>,
-}
-
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    argv.next(); // program name
-    let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
-    let need_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let parse_usize = |flag: &str, v: String| {
-        v.parse::<usize>()
-            .map_err(|_| format!("{flag}: not a count: {v:?}"))
-    };
-    let mut budget = Budget::default();
-    let mut json = false;
-    let mut out = None;
-
-    let mode = match mode_word.as_str() {
-        "order" => {
-            let mut layers = None;
-            let mut k = 0usize;
-            let mut sync: SimTime = 3;
-            let mut policy = CommPolicy::PriorityByLayer;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--layers" => {
-                        layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-                    }
-                    "--k" => k = parse_usize("--k", need_value(&mut argv, "--k")?)?,
-                    "--sync" => {
-                        sync = parse_usize("--sync", need_value(&mut argv, "--sync")?)? as SimTime
-                    }
-                    "--policy" => {
-                        policy = CommPolicy::from_name(&need_value(&mut argv, "--policy")?)?
-                    }
-                    "--budget" => {
-                        budget = Budget::nodes(parse_usize(
-                            "--budget",
-                            need_value(&mut argv, "--budget")?,
-                        )? as u64)
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            match layers {
-                Some(layers) if layers > 0 && k <= layers => Mode::Order {
-                    layers,
-                    k,
-                    sync,
-                    policy,
-                },
-                _ => return Err(USAGE.to_string()),
-            }
-        }
-        "bundle" => {
-            let mut path = String::new();
-            let mut schedule = None;
-            let mut policy = CommPolicy::PriorityByLayer;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
-                    "--policy" => {
-                        policy = CommPolicy::from_name(&need_value(&mut argv, "--policy")?)?
-                    }
-                    "--budget" => {
-                        budget = Budget::nodes(parse_usize(
-                            "--budget",
-                            need_value(&mut argv, "--budget")?,
-                        )? as u64)
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other if other.starts_with('-') => {
-                        return Err(format!("unknown flag: {other}"))
-                    }
-                    other if path.is_empty() => path = other.to_string(),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if path.is_empty() {
-                return Err(USAGE.to_string());
-            }
-            Mode::Bundle {
-                path,
-                schedule,
-                policy,
-            }
-        }
-        "pipeline" => {
-            let mut layers = None;
-            let mut devices = None;
-            let mut strategy = None;
-            let mut group = 1usize;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--layers" => {
-                        layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-                    }
-                    "--devices" => {
-                        devices = Some(parse_usize(
-                            "--devices",
-                            need_value(&mut argv, "--devices")?,
-                        )?)
-                    }
-                    "--strategy" => {
-                        strategy = Some(Strategy::from_name(&need_value(&mut argv, "--strategy")?)?)
-                    }
-                    "--group" => group = parse_usize("--group", need_value(&mut argv, "--group")?)?,
-                    "--budget" => {
-                        budget = Budget::nodes(parse_usize(
-                            "--budget",
-                            need_value(&mut argv, "--budget")?,
-                        )? as u64)
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            match (layers, devices, strategy) {
-                (Some(layers), Some(devices), Some(strategy))
-                    if layers > 0 && devices > 0 && group >= 1 =>
-                {
-                    Mode::Pipeline {
-                        layers,
-                        devices,
-                        strategy,
-                        group,
-                    }
-                }
-                _ => return Err(USAGE.to_string()),
-            }
-        }
-        "--help" | "-h" => return Err(USAGE.to_string()),
-        other => return Err(format!("unknown mode: {other:?}\n{USAGE}")),
-    };
-    Ok(Args {
-        mode,
-        budget,
-        json,
-        out,
-    })
-}
+const SPEC: Spec = Spec {
+    tool: "ooo-cert",
+    usage: USAGE,
+    modes: &[
+        mode("order", &[ORDER, POLICY, BUDGET, OUT], JSON, false),
+        mode("bundle", &[BUNDLE, POLICY, BUDGET, OUT], JSON, true),
+        mode("pipeline", &[PIPELINE, BUDGET, OUT], JSON, false),
+    ],
+};
 
 /// One certified input, ready for rendering.
 struct Item {
@@ -329,9 +166,9 @@ fn item_to_human(item: &Item) -> String {
     }
 }
 
-fn run(mode: &Mode, budget: &Budget) -> Result<Vec<Item>, String> {
-    match mode {
-        Mode::Order {
+fn run(shape: &Shape, budget: &Budget) -> Result<Vec<Item>, String> {
+    match shape {
+        Shape::Order {
             layers,
             k,
             sync,
@@ -347,7 +184,7 @@ fn run(mode: &Mode, budget: &Budget) -> Result<Vec<Item>, String> {
                 solved,
             }])
         }
-        Mode::Bundle {
+        Shape::Bundle {
             path,
             schedule,
             policy,
@@ -382,7 +219,7 @@ fn run(mode: &Mode, budget: &Budget) -> Result<Vec<Item>, String> {
                 })
                 .collect()
         }
-        Mode::Pipeline {
+        Shape::Pipeline {
             layers,
             devices,
             strategy,
@@ -405,52 +242,19 @@ fn run(mode: &Mode, budget: &Budget) -> Result<Vec<Item>, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let items = match run(&args.mode, &args.budget) {
-        Ok(items) => items,
-        Err(msg) => {
-            eprintln!("ooo-cert: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let json_output = || {
-        let docs: Vec<String> = items.iter().map(|i| item_to_json(i).to_pretty()).collect();
-        if docs.len() == 1 {
-            docs[0].clone()
-        } else {
-            format!("[\n{}\n]", docs.join(",\n"))
-        }
-    };
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, json_output() + "\n") {
-            eprintln!("ooo-cert: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if args.json {
-        println!("{}", json_output());
-    } else {
-        for i in &items {
-            print!("{}", item_to_human(i));
-        }
-    }
-
-    // A proven-improvable schedule is a finding; optimal and
-    // budget-exhausted certificates are clean runs.
-    if items
-        .iter()
-        .any(|i| matches!(i.solved.certificate, Certificate::Improvable { .. }))
-    {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    SPEC.run(|p| {
+        let shape = Shape::read(&p)?;
+        let budget = p
+            .count("--budget")?
+            .map_or_else(Budget::default, Budget::nodes);
+        let items = run(&shape, &budget)?;
+        // A proven-improvable schedule is a finding; optimal and
+        // budget-exhausted certificates are clean runs.
+        p.report(
+            &items,
+            |i| item_to_json(i).to_pretty(),
+            item_to_human,
+            |i| matches!(i.solved.certificate, Certificate::Improvable { .. }),
+        )
+    })
 }

@@ -26,6 +26,7 @@
 
 use ooo_cluster::pipeline::run as run_pipeline;
 use ooo_cluster::{datapar, hybrid, single};
+use ooo_core::cli::{mode, Fail, Parsed, Spec, OUT};
 use ooo_core::pipeline::Strategy;
 use ooo_core::trace::Timeline;
 use ooo_models::zoo;
@@ -40,90 +41,61 @@ const USAGE: &str = "usage: ooo-trace <export|summarize> \
                      [--batch N] [--micro N] [--gpus N] [--devices N] [--replicas N] \
                      [--k N] [--out FILE]";
 
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum Cmd {
-    Export,
-    Summarize,
-}
+const SIM: &[&str] = &[
+    "--system",
+    "--model",
+    "--engine",
+    "--comm",
+    "--strategy",
+    "--batch",
+    "--micro",
+    "--gpus",
+    "--devices",
+    "--replicas",
+    "--k",
+];
 
-struct Args {
-    cmd: Cmd,
-    /// Positional trace file (summarize-from-file mode).
-    input: Option<String>,
-    system: Option<String>,
-    model: String,
-    engine: String,
-    comm: String,
-    strategy: String,
+const SPEC: Spec = Spec {
+    tool: "ooo-trace",
+    usage: USAGE,
+    modes: &[
+        mode("export", &[SIM, OUT], &[], true),
+        mode("summarize", &[SIM, OUT], &[], true),
+    ],
+};
+
+/// One trace source: a trace file or a simulator configuration.
+struct Args<'a> {
+    input: Option<&'a str>,
+    system: Option<&'a str>,
+    model: &'a str,
+    engine: &'a str,
+    comm: &'a str,
+    strategy: &'a str,
     batch: usize,
     micro: usize,
     gpus: usize,
     devices: usize,
     replicas: usize,
     k: usize,
-    out: Option<String>,
 }
 
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    argv.next(); // program name
-    let cmd = match argv.next().as_deref() {
-        Some("export") => Cmd::Export,
-        Some("summarize") => Cmd::Summarize,
-        Some("--help") | Some("-h") | None => return Err(USAGE.to_string()),
-        Some(other) => return Err(format!("unknown command: {other}\n{USAGE}")),
-    };
-    let mut args = Args {
-        cmd,
-        input: None,
-        system: None,
-        model: "resnet50".to_string(),
-        engine: "ooo-xla".to_string(),
-        comm: "ooo-byteps".to_string(),
-        strategy: "ooo-pipe2".to_string(),
-        batch: 64,
-        micro: 4,
-        gpus: 16,
-        devices: 4,
-        replicas: 4,
-        k: 2,
-        out: None,
-    };
-    let need_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let need_count = |argv: &mut std::env::Args, flag: &str| -> Result<usize, String> {
-        let v = need_value(argv, flag)?;
-        v.parse::<usize>()
-            .map_err(|_| format!("{flag}: not a count: {v:?}"))
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--system" => args.system = Some(need_value(&mut argv, "--system")?),
-            "--model" => args.model = need_value(&mut argv, "--model")?,
-            "--engine" => args.engine = need_value(&mut argv, "--engine")?,
-            "--comm" => args.comm = need_value(&mut argv, "--comm")?,
-            "--strategy" => args.strategy = need_value(&mut argv, "--strategy")?,
-            "--batch" => args.batch = need_count(&mut argv, "--batch")?,
-            "--micro" => args.micro = need_count(&mut argv, "--micro")?,
-            "--gpus" => args.gpus = need_count(&mut argv, "--gpus")?,
-            "--devices" => args.devices = need_count(&mut argv, "--devices")?,
-            "--replicas" => args.replicas = need_count(&mut argv, "--replicas")?,
-            "--k" => args.k = need_count(&mut argv, "--k")?,
-            "--out" => args.out = Some(need_value(&mut argv, "--out")?),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with('-') => return Err(format!("unknown flag: {other}")),
-            other if args.input.is_none() => args.input = Some(other.to_string()),
-            other => return Err(format!("unexpected argument: {other}")),
-        }
-    }
-    match (args.cmd, &args.input, &args.system) {
-        (Cmd::Export, Some(path), _) => Err(format!("export takes no input file, got {path:?}")),
-        (Cmd::Export, None, None) => Err("export needs --system".to_string()),
-        (Cmd::Summarize, None, None) => Err("summarize needs a trace file or --system".to_string()),
-        (Cmd::Summarize, Some(path), Some(_)) => Err(format!(
-            "summarize takes a trace file or --system, not both (got {path:?})"
-        )),
-        _ => Ok(args),
+impl<'a> Args<'a> {
+    fn read(p: &'a Parsed) -> Result<Args<'a>, Fail> {
+        Ok(Args {
+            input: p.positional(),
+            system: p.text("--system"),
+            model: p.text("--model").unwrap_or("resnet50"),
+            engine: p.text("--engine").unwrap_or("ooo-xla"),
+            comm: p.text("--comm").unwrap_or("ooo-byteps"),
+            strategy: p.text("--strategy").unwrap_or("ooo-pipe2"),
+            batch: p.count("--batch")?.unwrap_or(64),
+            micro: p.count("--micro")?.unwrap_or(4),
+            gpus: p.count("--gpus")?.unwrap_or(16),
+            devices: p.count("--devices")?.unwrap_or(4),
+            replicas: p.count("--replicas")?.unwrap_or(4),
+            k: p.count("--k")?.unwrap_or(2),
+        })
     }
 }
 
@@ -141,12 +113,11 @@ fn model_by_name(name: &str) -> Result<ModelSpec, String> {
 
 /// Runs the selected simulator and returns its timeline.
 fn build_timeline(args: &Args) -> Result<Timeline, String> {
-    let model = model_by_name(&args.model)?;
+    let model = model_by_name(args.model)?;
     let gpu = GpuProfile::v100();
-    let system = args.system.as_deref().unwrap_or_default();
-    match system {
+    match args.system.unwrap_or_default() {
         "single" => {
-            let engine = match args.engine.as_str() {
+            let engine = match args.engine {
                 "tf" => single::Engine::TensorFlow,
                 "xla" => single::Engine::Xla,
                 "nimble" => single::Engine::Nimble,
@@ -162,7 +133,7 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
                 .map_err(|e| format!("single-GPU simulation failed: {e}"))
         }
         "datapar" => {
-            let comm = match args.comm.as_str() {
+            let comm = match args.comm {
                 "horovod" => datapar::CommSystem::Horovod,
                 "byteps" => datapar::CommSystem::BytePS,
                 "ooo-byteps" => datapar::CommSystem::OooBytePS,
@@ -183,7 +154,7 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
             .map_err(|e| format!("data-parallel simulation failed: {e}"))
         }
         "pipeline" => {
-            let strategy = match args.strategy.as_str() {
+            let strategy = match args.strategy {
                 "gpipe" => Strategy::GPipe,
                 "pipedream" => Strategy::PipeDream,
                 "dapple" => Strategy::Dapple,
@@ -229,64 +200,32 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let timeline = if let Some(path) = &args.input {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("ooo-trace: cannot read {path}: {e}");
-                return ExitCode::from(2);
+    SPEC.run(|p| {
+        let args = Args::read(&p)?;
+        let usage = |msg: String| Err(Fail::Usage(msg));
+        let timeline = match (p.mode, args.input, args.system) {
+            ("export", Some(path), _) => {
+                return usage(format!("export takes no input file, got {path:?}"))
             }
+            ("export", None, None) => return usage("export needs --system".into()),
+            (_, None, None) => return usage("summarize needs a trace file or --system".into()),
+            (_, Some(path), Some(_)) => {
+                return usage(format!(
+                    "summarize takes a trace file or --system, not both (got {path:?})"
+                ))
+            }
+            (_, Some(path), None) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                Timeline::from_chrome_json(&text)
+                    .map_err(|e| Fail::Finding(format!("cannot parse {path}: {e}")))?
+            }
+            (_, None, Some(_)) => build_timeline(&args).map_err(Fail::Finding)?,
         };
-        match Timeline::from_chrome_json(&text) {
-            Ok(tl) => tl,
-            Err(e) => {
-                eprintln!("ooo-trace: cannot parse {path}: {e}");
-                return ExitCode::from(1);
-            }
+        match p.mode {
+            "export" => p.emit(&(timeline.to_chrome_json() + "\n"))?,
+            _ => p.emit(&timeline.summarize().render())?,
         }
-    } else {
-        match build_timeline(&args) {
-            Ok(tl) => tl,
-            Err(msg) => {
-                eprintln!("ooo-trace: {msg}");
-                return ExitCode::from(1);
-            }
-        }
-    };
-
-    match args.cmd {
-        Cmd::Export => {
-            let json = timeline.to_chrome_json();
-            match &args.out {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(path, json + "\n") {
-                        eprintln!("ooo-trace: cannot write {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-                None => println!("{json}"),
-            }
-        }
-        Cmd::Summarize => {
-            let rendered = timeline.summarize().render();
-            match &args.out {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(path, rendered) {
-                        eprintln!("ooo-trace: cannot write {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-                None => print!("{rendered}"),
-            }
-        }
-    }
-    ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
+    })
 }

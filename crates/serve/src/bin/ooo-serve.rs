@@ -14,8 +14,11 @@
 //! connections one at a time. `--oneshot` serves exactly one request
 //! from stdin and exits `0` when the response status is `ok`, `1` on
 //! any other status (error, unsafe, timeout, overloaded), `2` on usage
-//! errors — the same contract as the one-shot CLIs.
+//! errors — the same contract as the one-shot CLIs. `--workers` above
+//! 256 and `--queue` above 4096 are usage errors; `0` means `1` for
+//! both.
 
+use ooo_core::cli::{mode, Fail, Parsed, Spec};
 use ooo_serve::{serve, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
@@ -25,59 +28,65 @@ const USAGE: &str = "usage: ooo-serve --daemon  [--workers N] [--queue N] [--cac
                      [--degrade-hot N] [--socket PATH]\n\
                      \x20      ooo-serve --oneshot [same flags]";
 
-enum Mode {
-    Daemon,
-    Oneshot,
-}
+/// Upper bounds on the pool and queue sizes: each worker is an OS
+/// thread and the queue preallocates its slots.
+const MAX_WORKERS: usize = 256;
+const MAX_QUEUE: usize = 4096;
 
-struct Args {
-    mode: Mode,
-    config: ServeConfig,
-    socket: Option<String>,
-}
+const SPEC: Spec = Spec {
+    tool: "ooo-serve",
+    usage: USAGE,
+    modes: &[mode(
+        "",
+        &[&[
+            "--workers",
+            "--queue",
+            "--cache",
+            "--retries",
+            "--max-request-bytes",
+            "--max-layers",
+            "--degrade-hot",
+            "--socket",
+        ]],
+        &["--daemon", "--oneshot"],
+        false,
+    )],
+};
 
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    let _ = argv.next();
-    let mut mode = None;
-    let mut config = ServeConfig::default();
-    let mut socket = None;
-    let next_num = |argv: &mut std::env::Args, flag: &str| -> Result<usize, String> {
-        argv.next()
-            .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))?
-            .parse::<usize>()
-            .map_err(|_| format!("{flag} needs a non-negative integer\n{USAGE}"))
+/// The mode (`--oneshot` when true), the configuration and the socket.
+fn config(p: &Parsed) -> Result<(bool, ServeConfig, Option<&str>), Fail> {
+    let oneshot = match p.last_of(&["--daemon", "--oneshot"]) {
+        Some(mode) => mode == "--oneshot",
+        None => return Err(p.usage()),
     };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--daemon" => mode = Some(Mode::Daemon),
-            "--oneshot" => mode = Some(Mode::Oneshot),
-            "--workers" => config.workers = next_num(&mut argv, "--workers")?.max(1),
-            "--queue" => config.queue = next_num(&mut argv, "--queue")?.max(1),
-            "--cache" => config.cache = next_num(&mut argv, "--cache")?,
-            "--retries" => config.retries = next_num(&mut argv, "--retries")? as u32,
-            "--max-request-bytes" => {
-                config.limits.max_request_bytes = next_num(&mut argv, "--max-request-bytes")?
-            }
-            "--max-layers" => config.limits.max_layers = next_num(&mut argv, "--max-layers")?,
-            "--degrade-hot" => config.degrade_hot = Some(next_num(&mut argv, "--degrade-hot")?),
-            "--socket" => {
-                socket = Some(
-                    argv.next()
-                        .ok_or_else(|| format!("--socket needs a path\n{USAGE}"))?,
-                )
-            }
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
+    let bounded = |flag: &str, max: usize, default: usize| -> Result<usize, Fail> {
+        match p.count(flag)? {
+            Some(n) if n > max => Err(Fail::Usage(format!("{flag} must be at most {max}"))),
+            n => Ok(n.unwrap_or(default).max(1)),
         }
+    };
+    let base = ServeConfig::default();
+    let mut config = ServeConfig {
+        workers: bounded("--workers", MAX_WORKERS, base.workers)?,
+        queue: bounded("--queue", MAX_QUEUE, base.queue)?,
+        cache: p.count("--cache")?.unwrap_or(base.cache),
+        retries: p.count("--retries")?.unwrap_or(base.retries),
+        degrade_hot: p.count("--degrade-hot")?,
+        ..base
+    };
+    if let Some(n) = p.count("--max-request-bytes")? {
+        config.limits.max_request_bytes = n;
     }
-    let mode = mode.ok_or_else(|| USAGE.to_string())?;
-    if socket.is_some() && matches!(mode, Mode::Oneshot) {
-        return Err(format!("--socket only applies to --daemon\n{USAGE}"));
+    if let Some(n) = p.count("--max-layers")? {
+        config.limits.max_layers = n;
     }
-    Ok(Args {
-        mode,
-        config,
-        socket,
-    })
+    let socket = p.text("--socket");
+    if socket.is_some() && oneshot {
+        return Err(Fail::Usage(format!(
+            "--socket only applies to --daemon\n{USAGE}"
+        )));
+    }
+    Ok((oneshot, config, socket))
 }
 
 /// Serves stdin to stdout until EOF; used by both modes (oneshot
@@ -128,23 +137,68 @@ fn serve_socket(_config: &ServeConfig, _path: &str) -> std::io::Result<ExitCode>
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
+    SPEC.run(|p| {
+        let (oneshot, config, socket) = config(&p)?;
+        let served = match socket {
+            Some(path) => serve_socket(&config, path),
+            None => serve_stdio(&config, oneshot),
+        };
+        served.map_err(|e| Fail::Error(e.to_string()))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(bool, ServeConfig), Fail> {
+        let p = SPEC.parse(line.split_whitespace().map(str::to_string))?;
+        config(&p).map(|(oneshot, c, _)| (oneshot, c))
+    }
+
+    fn usage_msg(line: &str) -> String {
+        match parse(line) {
+            Err(Fail::Usage(msg)) => msg,
+            Err(other) => panic!("{line}: expected a usage error, got {other:?}"),
+            Ok(_) => panic!("{line}: expected a usage error"),
         }
-    };
-    let result = match (&args.mode, &args.socket) {
-        (Mode::Daemon, Some(path)) => serve_socket(&args.config, path),
-        (Mode::Daemon, None) => serve_stdio(&args.config, false),
-        (Mode::Oneshot, _) => serve_stdio(&args.config, true),
-    };
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("ooo-serve: {e}");
-            ExitCode::from(2)
-        }
+    }
+
+    #[test]
+    fn pool_and_queue_sizes_are_bounded() {
+        let (_, c) = parse("--daemon --workers 256 --queue 4096").unwrap();
+        assert_eq!((c.workers, c.queue), (MAX_WORKERS, MAX_QUEUE));
+        assert_eq!(
+            usage_msg("--daemon --workers 257"),
+            "--workers must be at most 256"
+        );
+        assert_eq!(
+            usage_msg("--daemon --queue 4097"),
+            "--queue must be at most 4096"
+        );
+        // Zero still means one, as before.
+        let (_, c) = parse("--daemon --workers 0 --queue 0").unwrap();
+        assert_eq!((c.workers, c.queue), (1, 1));
+    }
+
+    #[test]
+    fn retries_are_read_as_u32_without_truncation() {
+        let (_, c) = parse("--oneshot --retries 4294967295").unwrap();
+        assert_eq!(c.retries, u32::MAX);
+        assert_eq!(
+            usage_msg("--oneshot --retries 4294967296"),
+            "--retries: not a count: \"4294967296\""
+        );
+    }
+
+    #[test]
+    fn the_last_mode_flag_wins_and_a_mode_is_required() {
+        assert!(parse("--daemon --oneshot").unwrap().0);
+        assert!(!parse("--oneshot --daemon").unwrap().0);
+        assert_eq!(usage_msg("--workers 2"), USAGE);
+        assert_eq!(
+            usage_msg("--oneshot --socket s"),
+            format!("--socket only applies to --daemon\n{USAGE}")
+        );
     }
 }

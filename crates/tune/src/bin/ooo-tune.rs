@@ -30,12 +30,10 @@
 //! gate (the tuner refuses unsafe starting points), `2` on usage, I/O,
 //! or parse problems.
 
-use ooo_core::datapar::CommPolicy;
+use ooo_core::cli::{mode, Fail, Parsed, Shape, Spec, BUNDLE, JSON, ORDER, OUT, PIPELINE, POLICY};
 use ooo_core::export::ScheduleBundle;
 use ooo_core::json::{obj, Value};
-use ooo_core::pipeline::Strategy;
 use ooo_core::reverse_k::UniformProblem;
-use ooo_core::SimTime;
 use ooo_tune::request::{self, Outcome};
 use ooo_tune::{Error, TuneOptions};
 use std::process::ExitCode;
@@ -50,210 +48,28 @@ const USAGE: &str = "usage: ooo-tune order --layers N [--k K] [--sync NS] \
                      [--group G] [--restarts N] [--window W] \
                      [--memory-cap BYTES] [--json] [--out FILE]";
 
-enum Mode {
-    Order {
-        layers: usize,
-        k: usize,
-        sync: SimTime,
-        policy: CommPolicy,
-    },
-    Bundle {
-        path: String,
-        schedule: Option<String>,
-        policy: CommPolicy,
-    },
-    Pipeline {
-        layers: usize,
-        devices: usize,
-        strategy: Strategy,
-        group: usize,
-    },
-}
+/// The search knobs every mode shares: `--restarts`, `--window`
+/// ([`TuneOptions::window`]) and `--memory-cap`
+/// ([`TuneOptions::memory_cap`]).
+const SEARCH: &[&str] = &["--restarts", "--window", "--memory-cap"];
 
-struct Args {
-    mode: Mode,
-    /// The search knobs every mode shares: `--restarts`, `--window`
-    /// ([`TuneOptions::window`]) and `--memory-cap`
-    /// ([`TuneOptions::memory_cap`]).
-    base: TuneOptions,
-    json: bool,
-    out: Option<String>,
-}
+const SPEC: Spec = Spec {
+    tool: "ooo-tune",
+    usage: USAGE,
+    modes: &[
+        mode("order", &[ORDER, POLICY, SEARCH, OUT], JSON, false),
+        mode("bundle", &[BUNDLE, POLICY, SEARCH, OUT], JSON, true),
+        mode("pipeline", &[PIPELINE, SEARCH, OUT], JSON, false),
+    ],
+};
 
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    argv.next(); // program name
-    let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
-    let need_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let parse_usize = |flag: &str, v: String| {
-        v.parse::<usize>()
-            .map_err(|_| format!("{flag}: not a count: {v:?}"))
-    };
-    let mut restarts = TuneOptions::default().restarts;
-    let mut window = None;
-    let mut memory_cap = None;
-    let mut json = false;
-    let mut out = None;
-
-    let mode = match mode_word.as_str() {
-        "order" => {
-            let mut layers = None;
-            let mut k = 0usize;
-            let mut sync: SimTime = 3;
-            let mut policy = CommPolicy::PriorityByLayer;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--layers" => {
-                        layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-                    }
-                    "--k" => k = parse_usize("--k", need_value(&mut argv, "--k")?)?,
-                    "--sync" => {
-                        sync = parse_usize("--sync", need_value(&mut argv, "--sync")?)? as SimTime
-                    }
-                    "--policy" => {
-                        policy = CommPolicy::from_name(&need_value(&mut argv, "--policy")?)?
-                    }
-                    "--restarts" => {
-                        restarts =
-                            parse_usize("--restarts", need_value(&mut argv, "--restarts")?)? as u64
-                    }
-                    "--window" => {
-                        window = Some(parse_usize("--window", need_value(&mut argv, "--window")?)?)
-                    }
-                    "--memory-cap" => {
-                        let v = need_value(&mut argv, "--memory-cap")?;
-                        memory_cap = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("--memory-cap: not a byte count: {v:?}"))?,
-                        );
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            match layers {
-                Some(layers) if layers > 0 && k <= layers => Mode::Order {
-                    layers,
-                    k,
-                    sync,
-                    policy,
-                },
-                _ => return Err(USAGE.to_string()),
-            }
-        }
-        "bundle" => {
-            let mut path = String::new();
-            let mut schedule = None;
-            let mut policy = CommPolicy::PriorityByLayer;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
-                    "--policy" => {
-                        policy = CommPolicy::from_name(&need_value(&mut argv, "--policy")?)?
-                    }
-                    "--restarts" => {
-                        restarts =
-                            parse_usize("--restarts", need_value(&mut argv, "--restarts")?)? as u64
-                    }
-                    "--window" => {
-                        window = Some(parse_usize("--window", need_value(&mut argv, "--window")?)?)
-                    }
-                    "--memory-cap" => {
-                        let v = need_value(&mut argv, "--memory-cap")?;
-                        memory_cap = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("--memory-cap: not a byte count: {v:?}"))?,
-                        );
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other if other.starts_with('-') => {
-                        return Err(format!("unknown flag: {other}"))
-                    }
-                    other if path.is_empty() => path = other.to_string(),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if path.is_empty() {
-                return Err(USAGE.to_string());
-            }
-            Mode::Bundle {
-                path,
-                schedule,
-                policy,
-            }
-        }
-        "pipeline" => {
-            let mut layers = None;
-            let mut devices = None;
-            let mut strategy = None;
-            let mut group = 1usize;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--layers" => {
-                        layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-                    }
-                    "--devices" => {
-                        devices = Some(parse_usize(
-                            "--devices",
-                            need_value(&mut argv, "--devices")?,
-                        )?)
-                    }
-                    "--strategy" => {
-                        strategy = Some(Strategy::from_name(&need_value(&mut argv, "--strategy")?)?)
-                    }
-                    "--group" => group = parse_usize("--group", need_value(&mut argv, "--group")?)?,
-                    "--restarts" => {
-                        restarts =
-                            parse_usize("--restarts", need_value(&mut argv, "--restarts")?)? as u64
-                    }
-                    "--window" => {
-                        window = Some(parse_usize("--window", need_value(&mut argv, "--window")?)?)
-                    }
-                    "--memory-cap" => {
-                        let v = need_value(&mut argv, "--memory-cap")?;
-                        memory_cap = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("--memory-cap: not a byte count: {v:?}"))?,
-                        );
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            match (layers, devices, strategy) {
-                (Some(layers), Some(devices), Some(strategy))
-                    if layers > 0 && devices > 0 && group >= 1 =>
-                {
-                    Mode::Pipeline {
-                        layers,
-                        devices,
-                        strategy,
-                        group,
-                    }
-                }
-                _ => return Err(USAGE.to_string()),
-            }
-        }
-        "--help" | "-h" => return Err(USAGE.to_string()),
-        other => return Err(format!("unknown mode: {other:?}\n{USAGE}")),
-    };
-    Ok(Args {
-        mode,
-        base: TuneOptions {
-            restarts,
-            window,
-            memory_cap,
-            ..TuneOptions::default()
-        },
-        json,
-        out,
+fn search_options(p: &Parsed) -> Result<TuneOptions, Fail> {
+    let base = TuneOptions::default();
+    Ok(TuneOptions {
+        restarts: p.count("--restarts")?.unwrap_or(base.restarts),
+        window: p.count("--window")?,
+        memory_cap: p.bytes("--memory-cap")?,
+        ..base
     })
 }
 
@@ -357,9 +173,9 @@ fn item(label: &str, r: Result<(String, Outcome), Error>) -> Result<Item, String
     }
 }
 
-fn run(mode: &Mode, base: &TuneOptions) -> Result<Vec<Item>, String> {
-    match mode {
-        Mode::Order {
+fn run(shape: &Shape, base: &TuneOptions) -> Result<Vec<Item>, String> {
+    match shape {
+        Shape::Order {
             layers,
             k,
             sync,
@@ -373,7 +189,7 @@ fn run(mode: &Mode, base: &TuneOptions) -> Result<Vec<Item>, String> {
                 });
             Ok(vec![item("order", r)?])
         }
-        Mode::Bundle {
+        Shape::Bundle {
             path,
             schedule,
             policy,
@@ -387,7 +203,7 @@ fn run(mode: &Mode, base: &TuneOptions) -> Result<Vec<Item>, String> {
                 })
                 .collect()
         }
-        Mode::Pipeline {
+        Shape::Pipeline {
             layers,
             devices,
             strategy,
@@ -403,46 +219,14 @@ fn run(mode: &Mode, base: &TuneOptions) -> Result<Vec<Item>, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let items = match run(&args.mode, &args.base) {
-        Ok(items) => items,
-        Err(msg) => {
-            eprintln!("ooo-tune: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let json_output = || {
-        let docs: Vec<String> = items.iter().map(|i| item_to_json(i).to_pretty()).collect();
-        if docs.len() == 1 {
-            docs[0].clone()
-        } else {
-            format!("[\n{}\n]", docs.join(",\n"))
-        }
-    };
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, json_output() + "\n") {
-            eprintln!("ooo-tune: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if args.json {
-        println!("{}", json_output());
-    } else {
-        for i in &items {
-            print!("{}", item_to_human(i));
-        }
-    }
-
-    if items.iter().any(|i| matches!(i, Item::Unsafe { .. })) {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    SPEC.run(|p| {
+        let (shape, base) = (Shape::read(&p)?, search_options(&p)?);
+        let items = run(&shape, &base)?;
+        p.report(
+            &items,
+            |i| item_to_json(i).to_pretty(),
+            item_to_human,
+            |i| matches!(i, Item::Unsafe { .. }),
+        )
+    })
 }

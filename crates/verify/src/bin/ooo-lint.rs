@@ -13,123 +13,46 @@
 //! allowed), `1` when any error-severity rule fired, `2` on usage or I/O
 //! problems.
 
+use ooo_core::cli::{mode, Spec, OUT};
 use ooo_core::export::{diagnostics_to_json, ScheduleBundle};
 use ooo_verify::{Verifier, VerifyConfig};
 use std::process::ExitCode;
 
-struct Args {
-    bundle_path: String,
-    schedule: Option<String>,
-    budget: Option<u64>,
-    partial: bool,
-    json: bool,
-    out: Option<String>,
-}
-
 const USAGE: &str = "usage: ooo-lint <bundle.json> [--schedule NAME] [--budget BYTES] \
                      [--partial] [--json] [--out FILE]";
 
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    argv.next(); // program name
-    let mut args = Args {
-        bundle_path: String::new(),
-        schedule: None,
-        budget: None,
-        partial: false,
-        json: false,
-        out: None,
-    };
-    let need_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--schedule" => args.schedule = Some(need_value(&mut argv, "--schedule")?),
-            "--budget" => {
-                let v = need_value(&mut argv, "--budget")?;
-                args.budget = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--budget: not a byte count: {v:?}"))?,
-                );
-            }
-            "--partial" => args.partial = true,
-            "--json" => args.json = true,
-            "--out" => args.out = Some(need_value(&mut argv, "--out")?),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with('-') => return Err(format!("unknown flag: {other}")),
-            other if args.bundle_path.is_empty() => args.bundle_path = other.to_string(),
-            other => return Err(format!("unexpected argument: {other}")),
-        }
-    }
-    if args.bundle_path.is_empty() {
-        return Err(USAGE.to_string());
-    }
-    Ok(args)
-}
+const SPEC: Spec = Spec {
+    tool: "ooo-lint",
+    usage: USAGE,
+    modes: &[mode(
+        "",
+        &[&["--schedule", "--budget"], OUT],
+        &["--partial", "--json"],
+        true,
+    )],
+};
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let fail = |msg: String| {
-        eprintln!("ooo-lint: {msg}");
-        ExitCode::from(2)
-    };
-    // Lenient parse: a bundle whose schedule is broken must still load so
-    // the analyzer can explain what is wrong with it.
-    let (bundle, graph) = match ScheduleBundle::load(&args.bundle_path) {
-        Ok(loaded) => loaded,
-        Err(msg) => return fail(msg),
-    };
-    let targets = match bundle.flat_entries(args.schedule.as_deref()) {
-        Ok(t) => t,
-        Err(msg) => return fail(msg),
-    };
-
-    let verifier = Verifier::new(&graph).with_config(VerifyConfig {
-        require_complete: !args.partial,
-        memory_budget: args.budget,
-        ..VerifyConfig::default()
-    });
-
-    let mut any_error = false;
-    let mut json_docs: Vec<String> = Vec::new();
-    let mut human = String::new();
-    for (name, schedule) in targets {
-        let report = verifier.verify(&schedule);
-        any_error |= report.has_errors();
-        if args.json || args.out.is_some() {
-            json_docs.push(diagnostics_to_json(name, &report.to_records()));
-        }
-        human.push_str(&format!("{name}: {report}"));
-    }
-
-    let json_output = || {
-        if json_docs.len() == 1 {
-            json_docs[0].clone()
-        } else {
-            format!("[\n{}\n]", json_docs.join(",\n"))
-        }
-    };
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, json_output() + "\n") {
-            return fail(format!("cannot write {path}: {e}"));
-        }
-    }
-    if args.json {
-        println!("{}", json_output());
-    } else {
-        print!("{human}");
-    }
-
-    if any_error {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    SPEC.run(|p| {
+        let path = p.required_positional()?;
+        let verifier_config = VerifyConfig {
+            require_complete: !p.switch("--partial"),
+            memory_budget: p.bytes("--budget")?,
+            ..VerifyConfig::default()
+        };
+        // Lenient parse: a bundle whose schedule is broken must still
+        // load so the analyzer can explain what is wrong with it.
+        let (bundle, graph) = ScheduleBundle::load(path)?;
+        let targets = bundle.flat_entries(p.text("--schedule"))?;
+        let verifier = Verifier::new(&graph).with_config(verifier_config);
+        let reports: Vec<_> = targets
+            .map(|(name, schedule)| (name, verifier.verify(&schedule)))
+            .collect();
+        p.report(
+            &reports,
+            |(name, r)| diagnostics_to_json(name, &r.to_records()),
+            |(name, r)| format!("{name}: {r}"),
+            |(_, r)| r.has_errors(),
+        )
+    })
 }

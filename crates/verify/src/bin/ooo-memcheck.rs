@@ -17,109 +17,33 @@
 //! in-order schedule. Exit status: `0` when no OM rule fired, `1` when
 //! any finding (error or advice) fired, `2` on usage or I/O problems.
 
+use ooo_core::cli::{mode, Shape, Spec, BUNDLE, ORDER, OUT};
 use ooo_core::cost::{CostModel, UnitCost};
-use ooo_core::datapar::CommPolicy;
 use ooo_core::export::ScheduleBundle;
 use ooo_core::json::{obj, Value};
 use ooo_core::reverse_k::UniformProblem;
 use ooo_core::schedule::Schedule;
-use ooo_core::{SimTime, TrainGraph};
+use ooo_core::TrainGraph;
 use ooo_verify::mem::{buffer_name, check_schedule, MemAnalysis, MemCheckOptions};
 use std::borrow::Cow;
 use std::process::ExitCode;
-
-enum Mode {
-    Bundle {
-        path: String,
-    },
-    Order {
-        layers: usize,
-        k: usize,
-        sync: SimTime,
-    },
-}
-
-struct Args {
-    mode: Mode,
-    schedule: Option<String>,
-    budget: Option<u64>,
-    baseline: bool,
-    json: bool,
-    out: Option<String>,
-}
 
 const USAGE: &str = "usage: ooo-memcheck bundle <bundle.json> [--schedule NAME] \
                      [--budget BYTES] [--baseline] [--json] [--out FILE]\n\
                      \x20      ooo-memcheck order --layers N [--k K] [--sync S] \
                      [--budget BYTES] [--baseline] [--json] [--out FILE]";
 
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    argv.next(); // program name
-    let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
-    let need_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let parse_num = |flag: &str, v: String| {
-        v.parse::<u64>()
-            .map_err(|_| format!("{flag}: not a non-negative integer: {v:?}"))
-    };
-    let mut schedule = None;
-    let mut budget = None;
-    let mut baseline = false;
-    let mut json = false;
-    let mut out = None;
-    let mut path = String::new();
-    let mut layers: Option<usize> = None;
-    let mut k = 0usize;
-    let mut sync: SimTime = 3;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
-            "--budget" => {
-                budget = Some(parse_num("--budget", need_value(&mut argv, "--budget")?)?);
-            }
-            "--layers" => {
-                layers = Some(parse_num("--layers", need_value(&mut argv, "--layers")?)? as usize);
-            }
-            "--k" => k = parse_num("--k", need_value(&mut argv, "--k")?)? as usize,
-            "--sync" => sync = parse_num("--sync", need_value(&mut argv, "--sync")?)? as SimTime,
-            "--baseline" => baseline = true,
-            "--json" => json = true,
-            "--out" => out = Some(need_value(&mut argv, "--out")?),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with('-') => return Err(format!("unknown flag: {other}")),
-            other if mode_word == "bundle" && path.is_empty() => path = other.to_string(),
-            other => return Err(format!("unexpected argument: {other}")),
-        }
-    }
-    let mode = match mode_word.as_str() {
-        "bundle" => {
-            if path.is_empty() {
-                return Err(USAGE.to_string());
-            }
-            Mode::Bundle { path }
-        }
-        "order" => {
-            let layers = layers.ok_or("order mode needs --layers")?;
-            if layers == 0 {
-                return Err("--layers must be at least 1".to_string());
-            }
-            if k > layers {
-                return Err(format!("--k is {k}, above --layers {layers}"));
-            }
-            Mode::Order { layers, k, sync }
-        }
-        other => return Err(format!("unknown mode: {other}\n{USAGE}")),
-    };
-    Ok(Args {
-        mode,
-        schedule,
-        budget,
-        baseline,
-        json,
-        out,
-    })
-}
+const BUDGET: &[&str] = &["--budget"];
+const SWITCHES: &[&str] = &["--baseline", "--json"];
+
+const SPEC: Spec = Spec {
+    tool: "ooo-memcheck",
+    usage: USAGE,
+    modes: &[
+        mode("bundle", &[BUNDLE, BUDGET, OUT], SWITCHES, true),
+        mode("order", &[ORDER, BUDGET, OUT], SWITCHES, false),
+    ],
+};
 
 /// One analyzed target rendered to the memcheck JSON document: the
 /// ledger summary plus every OM finding.
@@ -181,104 +105,59 @@ fn analysis_to_human(name: &str, analysis: &MemAnalysis) -> String {
     s
 }
 
-fn run<'a, C: CostModel>(
-    args: &Args,
+fn check<'a, C: CostModel>(
     graph: &TrainGraph,
     cost: &C,
+    opts: &MemCheckOptions,
     targets: impl Iterator<Item = (&'a str, Cow<'a, Schedule>)>,
-) -> ExitCode {
-    let opts = MemCheckOptions {
-        budget: args.budget,
-        plan: None,
-        baseline: args.baseline,
-    };
-    let mut any_finding = false;
-    let mut json_docs: Vec<String> = Vec::new();
-    let mut human = String::new();
-    for (name, schedule) in targets {
-        let analysis = match check_schedule(graph, &schedule, cost, &opts) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("ooo-memcheck: cannot analyze {name:?}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        any_finding |= !analysis.diagnostics.is_empty();
-        if args.json || args.out.is_some() {
-            json_docs.push(analysis_to_json(name, &analysis));
-        }
-        human.push_str(&analysis_to_human(name, &analysis));
-    }
-
-    let json_output = || {
-        if json_docs.len() == 1 {
-            json_docs[0].clone()
-        } else {
-            format!("[\n{}\n]", json_docs.join(",\n"))
-        }
-    };
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, json_output() + "\n") {
-            eprintln!("ooo-memcheck: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if args.json {
-        println!("{}", json_output());
-    } else {
-        print!("{human}");
-    }
-
-    if any_finding {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+) -> Result<Vec<(String, MemAnalysis)>, String> {
+    targets
+        .map(
+            |(name, schedule)| match check_schedule(graph, &schedule, cost, opts) {
+                Ok(a) => Ok((name.to_string(), a)),
+                Err(e) => Err(format!("cannot analyze {name:?}: {e}")),
+            },
+        )
+        .collect()
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let fail = |msg: String| {
-        eprintln!("ooo-memcheck: {msg}");
-        ExitCode::from(2)
-    };
-    match &args.mode {
-        Mode::Bundle { path } => {
-            // Lenient parse: a bundle whose schedule is broken must still
-            // load so the lifetime rules can attribute what is wrong.
-            let (bundle, graph) = match ScheduleBundle::load(path) {
-                Ok(loaded) => loaded,
-                Err(msg) => return fail(msg),
-            };
-            let targets = match bundle.flat_entries(args.schedule.as_deref()) {
-                Ok(t) => t,
-                Err(msg) => return fail(msg),
-            };
-            run(&args, &graph, &UnitCost, targets)
-        }
-        Mode::Order { layers, k, sync } => {
-            let p = match UniformProblem::new(*layers, *k, *sync) {
-                Ok(p) => p,
-                Err(e) => return fail(format!("cannot build reverse-first-{k}: {e}")),
-            };
-            let realized = match ooo_verify::predict::datapar_schedule(
-                &p.graph,
-                &p.order,
-                &p.cost,
-                CommPolicy::PriorityByLayer,
-            ) {
-                Ok(s) => s,
-                Err(e) => return fail(format!("cannot realize the order: {e}")),
-            };
-            let target = (p.name.as_str(), Cow::Owned(realized));
-            run(&args, &p.graph, &p.cost, std::iter::once(target))
-        }
-    }
+    SPEC.run(|p| {
+        let opts = MemCheckOptions {
+            budget: p.bytes("--budget")?,
+            plan: None,
+            baseline: p.switch("--baseline"),
+        };
+        let analyses = match Shape::read(&p)? {
+            Shape::Bundle { path, schedule, .. } => {
+                // Lenient parse: a bundle whose schedule is broken must
+                // still load so the lifetime rules can attribute what is
+                // wrong.
+                let (bundle, graph) = ScheduleBundle::load(&path)?;
+                let targets = bundle.flat_entries(schedule.as_deref())?;
+                check(&graph, &UnitCost, &opts, targets)?
+            }
+            Shape::Order {
+                layers,
+                k,
+                sync,
+                policy,
+            } => {
+                let p = UniformProblem::new(layers, k, sync)
+                    .map_err(|e| format!("cannot build reverse-first-{k}: {e}"))?;
+                let realized =
+                    ooo_verify::predict::datapar_schedule(&p.graph, &p.order, &p.cost, policy)
+                        .map_err(|e| format!("cannot realize the order: {e}"))?;
+                let target = (p.name.as_str(), Cow::Owned(realized));
+                check(&p.graph, &p.cost, &opts, std::iter::once(target))?
+            }
+            Shape::Pipeline { .. } => return Err(p.usage()),
+        };
+        p.report(
+            &analyses,
+            |(name, a)| analysis_to_json(name, a),
+            |(name, a)| analysis_to_human(name, a),
+            |(_, a)| !a.diagnostics.is_empty(),
+        )
+    })
 }

@@ -13,8 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> build the CLIs (debug) and the bench binaries (release) for the smokes"
+cargo build -q -p ooo-verify -p ooo-cluster -p ooo-faults -p ooo-tune -p ooo-cert -p ooo-serve --bins
+cargo build -q --release -p ooo-bench -p ooo-tune --bins
+
 echo "==> ooo-chaos smoke campaign (determinism + invariants)"
-cargo build -q -p ooo-faults --bin ooo-chaos
 ./target/debug/ooo-chaos run --seed 42 --scenarios 5 --json --out /tmp/ooo-chaos-a.json
 ./target/debug/ooo-chaos run --seed 42 --scenarios 5 --json --out /tmp/ooo-chaos-b.json
 cmp /tmp/ooo-chaos-a.json /tmp/ooo-chaos-b.json \
@@ -22,7 +25,6 @@ cmp /tmp/ooo-chaos-a.json /tmp/ooo-chaos-b.json \
 rm -f /tmp/ooo-chaos-a.json /tmp/ooo-chaos-b.json
 
 echo "==> ooo-trace smoke (every system exports byte-identically; degenerate configs exit 1)"
-cargo build -q -p ooo-cluster --bin ooo-trace
 for sys in single datapar pipeline hybrid; do
   for pass in a b; do
     ./target/debug/ooo-trace export --system "$sys" --out /tmp/ooo-trace-$pass.json \
@@ -36,7 +38,6 @@ rc=0; ./target/debug/ooo-trace summarize --system datapar --gpus 0 > /dev/null 2
 [ "$rc" -eq 1 ] || { echo "ooo-trace: --gpus 0 should be rejected with exit 1 (got $rc)"; exit 1; }
 
 echo "==> ooo-advise smoke (exit-code contract + determinism)"
-cargo build -q -p ooo-verify --bin ooo-advise
 rc=0; ./target/debug/ooo-advise pipeline --layers 8 --devices 2 --strategy pipe2 || rc=$?
 [ "$rc" -eq 0 ] || { echo "ooo-advise: OOO-Pipe2 should be advisory-free (got $rc)"; exit 1; }
 rc=0; ./target/debug/ooo-advise pipeline --layers 8 --devices 2 --strategy gpipe || rc=$?
@@ -50,7 +51,6 @@ cmp /tmp/ooo-advise-a.json /tmp/ooo-advise-b.json \
 rm -f /tmp/ooo-advise-a.json /tmp/ooo-advise-b.json
 
 echo "==> ooo-tune smoke (known-improvable input + determinism)"
-cargo build -q -p ooo-tune --bin ooo-tune
 rc=0; ./target/debug/ooo-tune order --layers 8 --k 0 --sync 3 --json --out /tmp/ooo-tune-a.json || rc=$?
 [ "$rc" -eq 0 ] || { echo "ooo-tune: tuning a safe order should succeed (got $rc)"; exit 1; }
 grep -q '"improved": true' /tmp/ooo-tune-a.json \
@@ -68,7 +68,6 @@ grep -q '"cap_met": true' /tmp/ooo-tune-cap.json \
 rm -f /tmp/ooo-tune-cap.json
 
 echo "==> ooo-memcheck smoke (exit-code contract + determinism)"
-cargo build -q -p ooo-verify --bin ooo-memcheck
 rc=0; ./target/debug/ooo-memcheck order --layers 6 --k 2 || rc=$?
 [ "$rc" -eq 0 ] || { echo "ooo-memcheck: an uncapped clean order should draw no findings (got $rc)"; exit 1; }
 rc=0; ./target/debug/ooo-memcheck order --layers 6 --k 2 --budget 1 --json --out /tmp/ooo-memcheck-a.json || rc=$?
@@ -82,7 +81,6 @@ cmp /tmp/ooo-memcheck-a.json /tmp/ooo-memcheck-b.json \
 rm -f /tmp/ooo-memcheck-a.json /tmp/ooo-memcheck-b.json
 
 echo "==> ooo-cert smoke (exact certification + determinism)"
-cargo build -q -p ooo-cert --bin ooo-cert
 rc=0; ./target/debug/ooo-cert order --layers 3 --k 0 --sync 0 --json --out /tmp/ooo-cert-a.json || rc=$?
 [ "$rc" -eq 0 ] || { echo "ooo-cert: sync-free order should certify optimal (got $rc)"; exit 1; }
 grep -q '"status": "optimal"' /tmp/ooo-cert-a.json \
@@ -96,7 +94,6 @@ cmp /tmp/ooo-cert-b.json /tmp/ooo-cert-c.json \
 rm -f /tmp/ooo-cert-a.json /tmp/ooo-cert-b.json /tmp/ooo-cert-c.json
 
 echo "==> scale-bench smoke (old==new differentials, byte-determinism)"
-cargo build -q --release -p ooo-bench --bin scale-bench
 ./target/release/scale-bench --smoke --out /tmp/ooo-scale-a.json
 ./target/release/scale-bench --smoke --out /tmp/ooo-scale-b.json
 cmp /tmp/ooo-scale-a.json /tmp/ooo-scale-b.json \
@@ -104,7 +101,6 @@ cmp /tmp/ooo-scale-a.json /tmp/ooo-scale-b.json \
 rm -f /tmp/ooo-scale-a.json /tmp/ooo-scale-b.json
 
 echo "==> ooo-serve smoke (oneshot contract, daemon determinism, crash recovery)"
-cargo build -q -p ooo-serve --bin ooo-serve
 rc=0; printf '{"id":1,"cmd":"order","layers":4,"tier":"heuristic"}\n' \
   | ./target/debug/ooo-serve --oneshot > /tmp/ooo-serve-one.json || rc=$?
 [ "$rc" -eq 0 ] || { echo "ooo-serve: oneshot order should succeed (got $rc)"; exit 1; }
@@ -147,7 +143,6 @@ rm -f /tmp/ooo-serve-one.json /tmp/ooo-serve-req.jsonl /tmp/ooo-serve-a.jsonl \
   /tmp/ooo-serve-b.jsonl /tmp/ooo-serve-kill.jsonl /tmp/ooo-serve-k.jsonl
 
 echo "==> serve-bench smoke (deterministic scenario counts)"
-cargo build -q --release -p ooo-bench --bin serve-bench
 ./target/release/serve-bench --smoke --out /tmp/ooo-serve-bench-a.json
 ./target/release/serve-bench --smoke --out /tmp/ooo-serve-bench-b.json
 cmp /tmp/ooo-serve-bench-a.json /tmp/ooo-serve-bench-b.json \
@@ -155,7 +150,6 @@ cmp /tmp/ooo-serve-bench-a.json /tmp/ooo-serve-bench-b.json \
 rm -f /tmp/ooo-serve-bench-a.json /tmp/ooo-serve-bench-b.json
 
 echo "==> mem-bench smoke (deterministic ledger peaks)"
-cargo build -q --release -p ooo-bench --bin mem-bench
 ./target/release/mem-bench --smoke --out /tmp/ooo-mem-bench-a.json
 ./target/release/mem-bench --smoke --out /tmp/ooo-mem-bench-b.json
 cmp /tmp/ooo-mem-bench-a.json /tmp/ooo-mem-bench-b.json \
@@ -163,7 +157,6 @@ cmp /tmp/ooo-mem-bench-a.json /tmp/ooo-mem-bench-b.json \
 rm -f /tmp/ooo-mem-bench-a.json /tmp/ooo-mem-bench-b.json
 
 echo "==> tournament-bench smoke (strategy zoo bracket, byte-determinism)"
-cargo build -q --release -p ooo-bench --bin tournament-bench
 ./target/release/tournament-bench --smoke --out /tmp/ooo-tournament-a.json
 ./target/release/tournament-bench --smoke --out /tmp/ooo-tournament-b.json
 cmp /tmp/ooo-tournament-a.json /tmp/ooo-tournament-b.json \
@@ -193,7 +186,6 @@ done
 rm -f /tmp/ooo-zoo-bundle.json /tmp/ooo-zoo-a.json /tmp/ooo-zoo-b.json
 
 echo "==> ooo-tune 1000-stage smoke (windowed search at scale)"
-cargo build -q --release -p ooo-tune --bin ooo-tune
 rc=0; ./target/release/ooo-tune pipeline --layers 1000 --devices 8 --strategy pipe2 \
   --restarts 0 --window 4 --json --out /tmp/ooo-tune-scale.json || rc=$?
 [ "$rc" -eq 0 ] || { echo "ooo-tune: 1000-stage pipeline tune failed (got $rc)"; exit 1; }
